@@ -1,0 +1,329 @@
+"""Property tests of the automaton core on small random partial machines.
+
+Machines have at most 5 states over at most 3 letters.  Every answer is
+checked against exhaustive searches written here, independent of the
+package: ``least_word`` walks all words length by length (keeping, for each
+tuple of states reached, the lexicographically least word of that length),
+and ``distinguishable`` marks state pairs by table filling.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, assume, given, seed, settings, strategies as st
+
+from ans import (
+    BOTTOM,
+    AutomaticSequence,
+    Dfa,
+    Dfao,
+    FiniteLanguageError,
+    NumerationSystem,
+    OrderedAlphabet,
+    PartitionError,
+    dfao_from_fibers,
+    distinguishing_word,
+    fiber,
+    kernel,
+    minimize,
+    reduce_dfao,
+)
+
+from conftest import AB
+
+CORE = settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+# -- random machines ----------------------------------------------------------
+
+
+@st.composite
+def alphabets(draw):
+    return OrderedAlphabet(tuple("abc"[: draw(st.integers(1, 3))]))
+
+
+def _graph(draw, sigma, prefix):
+    """States, start and a partial transition table (about a third missing)."""
+    n = draw(st.integers(1, 5))
+    states = tuple(f"{prefix}{i}" for i in range(n))
+    trans = {}
+    for q in states:
+        for a in sigma:
+            t = draw(st.integers(-2, n - 1))
+            if t >= 0:
+                trans[(q, a)] = states[t]
+    return states, states[draw(st.integers(0, n - 1))], trans
+
+
+@st.composite
+def dfas(draw, sigma=None, prefix="s"):
+    sigma = sigma or draw(alphabets())
+    states, start, trans = _graph(draw, sigma, prefix)
+    finals = frozenset(q for q in states if draw(st.booleans()))
+    return Dfa(sigma, states, start, finals, trans)
+
+
+@st.composite
+def dfaos(draw, sigma=None, outputs=("0", "1", "2", BOTTOM)):
+    sigma = sigma or draw(alphabets())
+    states, start, trans = _graph(draw, sigma, "m")
+    out = {q: draw(st.sampled_from(outputs)) for q in states}
+    return Dfao(sigma, states, start, trans, out, outputs)
+
+
+@st.composite
+def sequences(draw):
+    """An automatic sequence over a random infinite language."""
+    sigma = draw(alphabets())
+    lang = draw(dfas(sigma))
+    try:
+        system = NumerationSystem(lang)
+    except FiniteLanguageError:
+        assume(False)
+    return AutomaticSequence(system, draw(dfaos(sigma, ("0", "1", "2"))))
+
+
+# -- exhaustive oracles ---------------------------------------------------------
+
+
+def _step(m, q, a):
+    return None if q is None else m.trans.get((q, a))
+
+
+def _key(sigma, w):
+    return (len(w), [sigma.index(a) for a in w])
+
+
+def least_words(machines, starts=None):
+    """Every tuple of states (None once a run dies) that some word reaches,
+    with the shortlex-least such word: all words, one length at a time."""
+    sigma = machines[0].alphabet
+    level = {tuple(starts or (m.start for m in machines)): ()}
+    least = {}
+    seen_levels = set()
+    while frozenset(level) not in seen_levels:
+        seen_levels.add(frozenset(level))
+        for q, w in level.items():
+            least.setdefault(q, w)
+        nxt = {}
+        for q, w in sorted(level.items(), key=lambda kv: _key(sigma, kv[1])):
+            for a in sigma:
+                nxt.setdefault(tuple(_step(m, p, a) for m, p in zip(machines, q)), w + (a,))
+        level = nxt
+    return least
+
+
+def least_word(machines, bad, starts=None):
+    """The shortlex-least word whose tuple of reached states is `bad`, or None."""
+    sigma = machines[0].alphabet
+    hits = [w for q, w in least_words(machines, starts).items() if bad(q)]
+    return min(hits, key=lambda w: _key(sigma, w)) if hits else None
+
+
+def distinguishable(states, step, label, sigma) -> set:
+    """Pairs of `states` (closed under `step`) that some word tells apart."""
+    marked = {(p, q) for p in states for q in states if label(p) != label(q)}
+    changed = True
+    while changed:
+        changed = False
+        for p in states:
+            for q in states:
+                if (p, q) not in marked and any((step(p, a), step(q, a)) in marked for a in sigma):
+                    marked.add((p, q))
+                    changed = True
+    return marked
+
+
+def accepts(m, q):
+    return q is not None and q in m.finals
+
+
+def out(m, q):
+    return BOTTOM if q is None else m.output[q]
+
+
+# -- minimize and reduce_dfao ----------------------------------------------------
+
+
+@seed(31)
+@CORE
+@given(dfas())
+def test_minimize_keeps_language_and_is_idempotent(a):
+    m = minimize(a)
+    assert least_word((a, m), lambda q: accepts(a, q[0]) != accepts(m, q[1])) is None
+    assert minimize(m) == m
+    # minimal: no two states of the result accept the same language
+    step = lambda q, s: _step(m, q, s)
+    marked = distinguishable(m.states + (None,), step, lambda q: accepts(m, q), m.alphabet)
+    assert all((p, q) in marked for p, q in combinations(m.states, 2))
+
+
+@seed(32)
+@CORE
+@given(dfaos())
+def test_reduce_dfao_keeps_outputs_and_is_idempotent(m):
+    r = reduce_dfao(m)
+    assert least_word((m, r), lambda q: out(m, q[0]) != out(r, q[1])) is None
+    assert reduce_dfao(r) == r
+
+
+# -- distinguishing_word -----------------------------------------------------------
+
+
+@seed(33)
+@CORE
+@given(st.data())
+def test_distinguishing_word_is_shortlex_least(data):
+    sigma = data.draw(alphabets())
+    a, b = data.draw(dfas(sigma, "s")), data.draw(dfas(sigma, "t"))
+    want = least_word((a, b), lambda q: accepts(a, q[0]) != accepts(b, q[1]))
+    assert distinguishing_word(a, b) == want
+
+
+# -- kernel --------------------------------------------------------------------------
+
+
+@seed(34)
+@CORE
+@given(sequences())
+def test_kernel_representatives_are_distinct_least_and_sorted(u):
+    lang, mach, sigma = u.system.language, u.machine, u.system.alphabet
+    pairs = least_words((lang, mach))  # every (language, machine) state pair a prefix reaches
+
+    def step(q, a):
+        return (_step(lang, q[0], a), _step(mach, q[1], a))
+
+    def label(q):
+        return (True, out(mach, q[1])) if accepts(lang, q[0]) else (False, None)
+
+    marked = distinguishable(tuple(pairs), step, label, sigma)
+    ks = kernel(u)
+    assert [k.class_id for k in ks] == list(range(len(ks)))
+    reps = [k.representative_prefix for k in ks]
+    assert reps == sorted(set(reps), key=lambda w: _key(sigma, w))
+    at = [(lang.run(w), mach.run(w)) for w in reps]
+    for p, q in combinations(at, 2):
+        assert (p, q) in marked  # distinct classes
+    for p, w in pairs.items():
+        same = [i for i, q in enumerate(at) if (p, q) not in marked]
+        assert len(same) == 1  # every prefix falls in exactly one class ...
+        assert _key(sigma, reps[same[0]]) <= _key(sigma, w)  # ... led by its least member
+    for k, q in zip(ks, at):
+        alive = least_word((lang,), lambda s: accepts(lang, s[0]), starts=(q[0],)) is not None
+        assert k.empty == (not alive)
+
+
+# -- dfao_from_fibers ------------------------------------------------------------------
+
+
+@seed(35)
+@CORE
+@given(sequences())
+def test_fibers_rebuild_the_sequence_or_name_the_least_gap(u):
+    lang, mach = u.system.language, u.machine
+    fibers = {d: fiber(u, d) for d in mach.output_alphabet}
+    gap = least_word((lang, mach), lambda q: accepts(lang, q[0]) and q[1] is None)
+    if gap is not None:
+        label = "".join(gap) if gap else "the empty word"
+        with pytest.raises(PartitionError, match=f"^fibers do not cover the language exactly: {label} separates"):
+            dfao_from_fibers(u.system, fibers)
+        return
+    rebuilt = dfao_from_fibers(u.system, fibers)
+    assert least_word(
+        (lang, mach, rebuilt), lambda q: accepts(lang, q[0]) and out(mach, q[1]) != out(rebuilt, q[2])
+    ) is None
+    assert AutomaticSequence(u.system, rebuilt).prefix(40) == u.prefix(40)
+
+
+@seed(36)
+@CORE
+@given(st.data())
+def test_fibers_name_the_least_overlap_or_gap(data):
+    sigma = data.draw(alphabets())
+    try:
+        system = NumerationSystem(data.draw(dfas(sigma, "s")))
+    except FiniteLanguageError:
+        assume(False)
+    lang = system.language
+    k = data.draw(st.integers(1, 3))
+    symbols = ("x", "y", "z")[:k]
+    fibers = {d: data.draw(dfas(sigma, f"f{i}")) for i, d in enumerate(symbols)}
+    parts = [fibers[d] for d in symbols]
+
+    overlap = next(
+        (
+            (symbols[i], symbols[j])
+            for i, j in combinations(range(k), 2)
+            if least_word((parts[i], parts[j]), lambda q: accepts(parts[i], q[0]) and accepts(parts[j], q[1]))
+            is not None
+        ),
+        None,
+    )
+    if overlap is not None:
+        with pytest.raises(PartitionError, match=f"^fibers for {overlap[0]!r} and {overlap[1]!r} overlap$"):
+            dfao_from_fibers(system, fibers)
+        return
+    machines = (lang, *parts)
+
+    def covered(q):
+        return any(accepts(f, p) for f, p in zip(parts, q[1:]))
+
+    gap = least_word(machines, lambda q: accepts(lang, q[0]) != covered(q))
+    if gap is not None:
+        label = "".join(gap) if gap else "the empty word"
+        with pytest.raises(PartitionError, match=f"^fibers do not cover the language exactly: {label} separates"):
+            dfao_from_fibers(system, fibers)
+        return
+    rebuilt = dfao_from_fibers(system, fibers)
+
+    def wrong(q):
+        if not accepts(lang, q[0]):
+            return False
+        (d,) = [d for d, f, p in zip(symbols, parts, q[1:-1]) if accepts(f, p)]
+        return out(rebuilt, q[-1]) != d
+
+    assert least_word((*machines, rebuilt), wrong) is None
+
+
+# -- the completion sink's block -------------------------------------------------------
+
+
+def test_minimize_empty_language_keeps_one_looping_state():
+    no_final = Dfa(AB, ("p", "q"), "p", frozenset(), {("p", "a"): "q"})
+    unreachable_final = Dfa(AB, ("p", "q"), "p", frozenset({"q"}), {})
+    looping = Dfa(AB, ("p",), "p", frozenset(), {("p", "a"): "p", ("p", "b"): "p"})  # complete: no sink
+    for a in (no_final, unreachable_final, looping):
+        m = minimize(a)
+        assert m.states == ("q0",)
+        assert m.finals == frozenset()
+        assert m.trans == {("q0", "a"): "q0", ("q0", "b"): "q0"}
+
+
+def test_reduce_dfao_drops_states_that_behave_like_the_sink():
+    sig = OrderedAlphabet(("a", "b"))
+    # y outputs the placeholder and has no moves; z outputs it and loops:
+    # every future output of both equals the completion sink's
+    m = Dfao(
+        sig,
+        ("x", "y", "z"),
+        "x",
+        {("x", "a"): "y", ("x", "b"): "z", ("z", "a"): "z"},
+        {"x": "0", "y": BOTTOM, "z": BOTTOM},
+        ("0", BOTTOM),
+    )
+    r = reduce_dfao(m)
+    assert r.states == ("q0",)
+    assert r.trans == {}
+    assert r.output == {"q0": "0"}
+    assert r.output_alphabet == ("0",)
+    # ... unless the start itself behaves like the sink
+    dead = Dfao(sig, ("x",), "x", {}, {"x": BOTTOM}, (BOTTOM,))
+    r = reduce_dfao(dead)
+    assert r.states == ("q0",)
+    assert r.trans == {("q0", "a"): "q0", ("q0", "b"): "q0"}
+    assert r.output == {"q0": BOTTOM}
