@@ -6,16 +6,26 @@ Conventions used throughout the package:
   implicit dead state and is rejected.  ``completed()`` materializes that
   state when a construction needs totality.
 * States are opaque hashable values.  Constructions that build new automata
-  (products, quotients) use tuples as states; ``renumbered()`` gives the
-  canonical breadth-first string naming used for serialization.
+  (products, quotients) use tuples or representative states as states;
+  ``renumbered()`` gives the canonical breadth-first string naming used for
+  serialization.
 * All instances are immutable by contract: no method mutates ``self``.
+
+Every product of machines read in parallel (``product``, ``intersect``,
+``union``, ``difference``, ``distinguishing_word``, and the kernel and fiber
+constructions of ``sequences``) is built by ``_reachable_product``, and
+every quotient by indistinguishability (``minimize``, ``reduce_dfao``) by
+``_quotient``.  The product is explored breadth-first with letters taken in
+alphabet order, so a state is first reached by its shortlex-least access
+word, and the order of discovery is the shortlex order of those words: the
+first state of any set in that order carries the set's least word.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator
+from dataclasses import dataclass, field, replace
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError
 
@@ -91,9 +101,6 @@ class _Machine:
             if a not in self.alphabet:
                 raise ValueError(f"transition {(q, a, q2)!r} uses a symbol outside the alphabet")
 
-    def step(self, state: State, symbol) -> State | None:
-        return self.trans.get((state, symbol))
-
     def run(self, word: Iterable, state: State | None = None) -> State | None:
         """State reached from `state` (default: start) or None if undefined."""
         q = self.start if state is None else state
@@ -102,17 +109,6 @@ class _Machine:
             if q is None:
                 return None
         return q
-
-    def run_trace(self, word: Iterable, state: State | None = None) -> list | None:
-        """All intermediate states including the first; None if the run dies."""
-        q = self.start if state is None else state
-        trace = [q]
-        for a in word:
-            q = self.trans.get((q, a))
-            if q is None:
-                return None
-            trace.append(q)
-        return trace
 
     def reachable(self) -> tuple:
         """States reachable from the start, in breadth-first alphabet order."""
@@ -140,6 +136,29 @@ class _Machine:
             name = f"{base}{k}"
             k += 1
         return name
+
+    def completed(self, dead: State = DEAD, dead_output=BOTTOM):
+        """Total-transition view; adds a fresh dead state only if needed.
+
+        The dead state is not final, and on a DFAO it outputs `dead_output`.
+        """
+        if self.is_complete():
+            return self
+        sink = self._fresh_state(dead)
+        states = self.states + (sink,)
+        trans = {(q, a): self.trans.get((q, a), sink) for q in states for a in self.alphabet}
+        return replace(self, states=states, trans=trans, **self._sink_fields(sink, dead_output))
+
+    def renumbered(self, prefix: str = "q"):
+        """Canonical copy: reachable states renamed q0, q1, ... in BFS order."""
+        name = {q: f"{prefix}{i}" for i, q in enumerate(self.reachable())}
+        trans = {(name[q], a): name[q2] for (q, a), q2 in self.trans.items() if q in name}
+        fields = self._renamed_fields(name)
+        return replace(self, states=tuple(name.values()), start=name[self.start], trans=trans, **fields)
+
+    def _sink_fields(self, sink, dead_output) -> dict:
+        """Fields other than states and transitions that a completion sink changes."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -185,29 +204,8 @@ class Dfa(_Machine):
         trans = {(q, a): q2 for (q, a), q2 in self.trans.items() if q in keep and q2 in keep}
         return Dfa(self.alphabet, states, self.start, self.finals & keep, trans)
 
-    def completed(self, dead: State = DEAD) -> "Dfa":
-        """Total-transition view; adds a fresh dead state only if needed."""
-        if self.is_complete():
-            return self
-        sink = self._fresh_state(dead)
-        states = self.states + (sink,)
-        trans = dict(self.trans)
-        for q in states:
-            for a in self.alphabet:
-                trans.setdefault((q, a), sink)
-        return Dfa(self.alphabet, states, self.start, self.finals, trans)
-
-    def renumbered(self, prefix: str = "q") -> "Dfa":
-        """Canonical copy: reachable states renamed q0, q1, ... in BFS order."""
-        order = self.reachable()
-        name = {q: f"{prefix}{i}" for i, q in enumerate(order)}
-        trans = {
-            (name[q], a): name[q2]
-            for (q, a), q2 in self.trans.items()
-            if q in name and q2 in name
-        }
-        finals = frozenset(name[q] for q in self.finals if q in name)
-        return Dfa(self.alphabet, tuple(name[q] for q in order), name[self.start], finals, trans)
+    def _renamed_fields(self, name: dict) -> dict:
+        return {"finals": frozenset(name[q] for q in self.finals if q in name)}
 
 
 @dataclass(frozen=True)
@@ -250,33 +248,14 @@ class Dfao(_Machine):
         out_alpha = tuple(d for d in self.output_alphabet if d in used)
         return Dfao(self.alphabet, keep, self.start, trans, out, out_alpha)
 
-    def completed(self, dead: State = DEAD, dead_output=BOTTOM) -> "Dfao":
-        """Total-transition view; the added sink state outputs `dead_output`."""
-        if self.is_complete():
-            return self
-        sink = self._fresh_state(dead)
-        states = self.states + (sink,)
-        trans = dict(self.trans)
-        for q in states:
-            for a in self.alphabet:
-                trans.setdefault((q, a), sink)
-        out = dict(self.output)
-        out[sink] = dead_output
+    def _sink_fields(self, sink, dead_output) -> dict:
         out_alpha = self.output_alphabet
         if dead_output not in out_alpha:
-            out_alpha = out_alpha + (dead_output,)
-        return Dfao(self.alphabet, states, self.start, trans, out, out_alpha)
+            out_alpha += (dead_output,)
+        return {"output": {**self.output, sink: dead_output}, "output_alphabet": out_alpha}
 
-    def renumbered(self, prefix: str = "q") -> "Dfao":
-        order = self.reachable()
-        name = {q: f"{prefix}{i}" for i, q in enumerate(order)}
-        trans = {
-            (name[q], a): name[q2]
-            for (q, a), q2 in self.trans.items()
-            if q in name and q2 in name
-        }
-        out = {name[q]: self.output[q] for q in order}
-        return Dfao(self.alphabet, tuple(name[q] for q in order), name[self.start], trans, out, self.output_alphabet)
+    def _renamed_fields(self, name: dict) -> dict:
+        return {"output": {name[q]: self.output[q] for q in name}}
 
     def as_acceptor(self, outputs) -> Dfa:
         """DFA over the same graph accepting words whose output lies in `outputs`."""
@@ -305,66 +284,96 @@ def _require_same_alphabet(a, b):
         )
 
 
+def _reachable_product(machines) -> tuple[list, dict, dict]:
+    """The machines read in parallel: their reachable tuples of states.
+
+    All machines must be complete and share one ordered alphabet.  Returns
+    the tuples in breadth-first alphabet order (the shortlex order of their
+    least access words), the transitions between them, and each tuple's
+    least access word.
+    """
+    for m in machines[1:]:
+        _require_same_alphabet(machines[0], m)
+    alphabet = machines[0].alphabet.symbols
+    # each state's successors in alphabet order: zipping the rows of the
+    # current states gives the next tuple for every letter in turn
+    succs = [{q: tuple(m.trans[(q, s)] for s in alphabet) for q in m.states} for m in machines]
+    start = tuple(m.start for m in machines)
+    order = [start]
+    word = {start: ()}
+    trans = {}
+    for q in order:
+        w = word[q]
+        for s, nxt in zip(alphabet, zip(*[succ[p] for succ, p in zip(succs, q)])):
+            trans[(q, s)] = nxt
+            if nxt not in word:
+                word[nxt] = w + (s,)
+                order.append(nxt)
+    return order, trans, word
+
+
 def product(a: Dfa, b: Dfao) -> ProductMachine:
     """Reachable pair automaton of `a` and `b` (both completed first)."""
-    _require_same_alphabet(a, b)
-    ca = a.completed()
-    cb = b.completed()
-    start = (ca.start, cb.start)
-    order = [start]
-    seen = {start}
-    trans = {}
-    queue = deque(order)
-    while queue:
-        (k, kp) = queue.popleft()
-        for s in ca.alphabet:
-            nxt = (ca.trans[(k, s)], cb.trans[(kp, s)])
-            trans[((k, kp), s)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
+    ca, cb = a.completed(), b.completed()
+    order, trans, _ = _reachable_product((ca, cb))
     out = {pair: cb.output[pair[1]] for pair in order}
     used = set(out.values())
     out_alpha = tuple(d for d in cb.output_alphabet if d in used)
-    dfao = Dfao(ca.alphabet, tuple(order), start, trans, out, out_alpha)
-    finals = frozenset(pair for pair in order if pair[0] in ca.finals)
-    return ProductMachine(dfao, finals)
+    dfao = Dfao(ca.alphabet, tuple(order), order[0], trans, out, out_alpha)
+    return ProductMachine(dfao, frozenset(pair for pair in order if pair[0] in ca.finals))
 
 
-def _refine(states: tuple, alphabet: OrderedAlphabet, trans: dict, block: dict) -> dict:
-    """Moore partition refinement of a total automaton; returns state -> block id."""
+def _refine(states: Sequence, alphabet: OrderedAlphabet, trans: dict, label: dict) -> dict:
+    """Moore partition refinement of a total automaton; returns state -> block id.
+
+    States start in one block per distinct `label`; blocks are numbered in
+    order of first appearance in `states`.
+    """
+    ids = {}
+    block = {q: ids.setdefault(label[q], len(ids)) for q in states}
+    count = len(ids)
     while True:
-        keys = {}
         nums = {}
-        new = {}
-        for q in states:
-            key = (block[q], tuple(block[trans[(q, a)]] for a in alphabet))
-            if key not in nums:
-                nums[key] = len(nums)
-            keys[q] = key
-            new[q] = nums[keys[q]]
-        if len(nums) == len(set(block.values())):
-            return new
-        block = new
+        block = {
+            q: nums.setdefault((block[q], tuple(block[trans[(q, a)]] for a in alphabet)), len(nums))
+            for q in states
+        }
+        if len(nums) == count:
+            return block
+        count = len(nums)
+
+
+def _quotient(c, label: dict, sink) -> tuple[tuple, dict]:
+    """Merge the states of a complete machine that no word tells apart.
+
+    States merge when every word leads them to equal labels.  Returns one
+    representative per block, the first in breadth-first order, and the
+    transitions between representatives.  The block of the completion
+    `sink` (None if completion added none) is dropped, so transitions into
+    it go missing again, unless it holds the start.
+    """
+    reach = c.reachable()
+    block = _refine(reach, c.alphabet, c.trans, label)
+    rep = {}
+    for q in reach:
+        rep.setdefault(block[q], q)
+    if sink is not None and block[sink] != block[c.start]:
+        del rep[block[sink]]
+    trans = {}
+    for q in rep.values():
+        for s in c.alphabet:
+            b = block[c.trans[(q, s)]]
+            if b in rep:
+                trans[(q, s)] = rep[b]
+    return tuple(rep.values()), trans
 
 
 def minimize(a: Dfa) -> Dfa:
     """Minimal partial DFA for the language of `a`, canonically renumbered."""
-    c = a.trimmed().completed()
-    reach = c.reachable()
-    block = {q: (1 if q in c.finals else 0) for q in reach}
-    trans = {(q, s): c.trans[(q, s)] for q in reach for s in c.alphabet}
-    block = _refine(reach, c.alphabet, trans, block)
-    # quotient
-    rep = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
-    qstates = tuple(sorted(rep, key=lambda b: reach.index(rep[b])))
-    qtrans = {(b, s): block[trans[(rep[b], s)]] for b in qstates for s in c.alphabet}
-    qfinals = frozenset(block[q] for q in c.finals if q in block)
-    quotient = Dfa(c.alphabet, qstates, block[c.start], qfinals, qtrans)
-    return quotient.trimmed().renumbered()
+    t = a.trimmed()
+    c = t.completed()
+    states, trans = _quotient(c, {q: q in c.finals for q in c.states}, None if c is t else c.states[-1])
+    return Dfa(c.alphabet, states, c.start, c.finals.intersection(states), trans).renumbered()
 
 
 def reduce_dfao(m: Dfao) -> Dfao:
@@ -375,38 +384,11 @@ def reduce_dfao(m: Dfao) -> Dfao:
     """
     acc = m.accessible()
     c = acc.completed()
-    added_sink = tuple(q for q in c.states if q not in acc.states)
-    reach = c.reachable()
-    out_ids = {}
-    block = {}
-    for q in reach:
-        d = c.output[q]
-        if d not in out_ids:
-            out_ids[d] = len(out_ids)
-        block[q] = out_ids[d]
-    trans = {(q, s): c.trans[(q, s)] for q in reach for s in c.alphabet}
-    block = _refine(reach, c.alphabet, trans, block)
-    rep = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
-    # the class of the completion sink reverts to missing transitions, except
-    # when the start itself landed there (a state set cannot be empty)
-    drop = {block[q] for q in added_sink} - {block[c.start]}
-    qstates = tuple(sorted(rep, key=lambda b: reach.index(rep[b])))
-    qtrans = {
-        (b, s): block[trans[(rep[b], s)]]
-        for b in qstates
-        for s in c.alphabet
-        if block[trans[(rep[b], s)]] not in drop
-    }
-    qout = {b: c.output[rep[b]] for b in qstates}
-    kept = tuple(b for b in qstates if b not in drop)
-    qtrans = {(b, s): q2 for (b, s), q2 in qtrans.items() if b not in drop}
-    qout = {b: qout[b] for b in kept}
-    used = set(qout.values())
+    states, trans = _quotient(c, c.output, None if c is acc else c.states[-1])
+    out = {q: c.output[q] for q in states}
+    used = set(out.values())
     out_alpha = tuple(d for d in c.output_alphabet if d in used)
-    reduced = Dfao(c.alphabet, kept, block[c.start], qtrans, qout, out_alpha)
-    return reduced.renumbered()
+    return Dfao(c.alphabet, states, c.start, trans, out, out_alpha).renumbered()
 
 
 def is_empty(a: Dfa) -> bool:
@@ -447,22 +429,12 @@ def is_infinite(a: Dfa) -> bool:
 
 
 def distinguishing_word(a: Dfa, b: Dfa) -> Word | None:
-    """Shortest word accepted by exactly one of the two DFAs, or None."""
-    _require_same_alphabet(a, b)
-    ca = a.completed()
-    cb = b.completed()
-    start = (ca.start, cb.start)
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (p, q), w = queue.popleft()
+    """Shortlex-least word accepted by exactly one of the two DFAs, or None."""
+    ca, cb = a.completed(), b.completed()
+    order, _, word = _reachable_product((ca, cb))
+    for p, q in order:
         if (p in ca.finals) != (q in cb.finals):
-            return w
-        for s in ca.alphabet:
-            nxt = (ca.trans[(p, s)], cb.trans[(q, s)])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, w + (s,)))
+            return word[(p, q)]
     return None
 
 
@@ -472,26 +444,10 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 
 def _boolean_product(a: Dfa, b: Dfa, keep) -> Dfa:
-    _require_same_alphabet(a, b)
-    ca = a.completed()
-    cb = b.completed()
-    start = (ca.start, cb.start)
-    order = [start]
-    seen = {start}
-    trans = {}
-    queue = deque(order)
-    while queue:
-        (p, q) = queue.popleft()
-        for s in ca.alphabet:
-            nxt = (ca.trans[(p, s)], cb.trans[(q, s)])
-            trans[((p, q), s)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
+    ca, cb = a.completed(), b.completed()
+    order, trans, _ = _reachable_product((ca, cb))
     finals = frozenset(pq for pq in order if keep(pq[0] in ca.finals, pq[1] in cb.finals))
-    dfa = Dfa(ca.alphabet, tuple(order), start, finals, trans)
-    return dfa.trimmed().renumbered()
+    return Dfa(ca.alphabet, tuple(order), order[0], finals, trans).trimmed().renumbered()
 
 
 def intersect(a: Dfa, b: Dfa) -> Dfa:

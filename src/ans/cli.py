@@ -3,9 +3,10 @@
 One subcommand per library operation, file-based machine exchange, and
 line-oriented deterministic output (JSON with ``--json`` where a schema is
 documented).  Exit status: 0 on success, 1 on internal errors, 2 on domain
-errors such as words outside the language, non-partitioning fibers, or an
-exceeded learning bound.  The empty word is spelled ``@eps`` everywhere.
-Set ``ANS_COLOR=0`` to disable the pass/fail coloring on terminals.
+errors such as words outside the language, non-partitioning fibers, an
+exceeded learning bound, or an output file that cannot be written.  The
+empty word is spelled ``@eps`` everywhere.  Set ``ANS_COLOR=0`` to disable
+the pass/fail coloring on terminals.
 """
 
 from __future__ import annotations
@@ -69,13 +70,16 @@ def _word_arg(text: str, alphabet: OrderedAlphabet):
         raise AnsError(str(e)) from e
 
 
-def _emit(args, text: str):
-    """Write `text` to --output if given, else to stdout."""
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(path: str | None, text: str):
+    """Write `text` to the file at `path`, or to stdout when no path is given."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise AnsError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _emit_json(obj):
@@ -150,7 +154,7 @@ def cmd_seq(args):
 
 def cmd_fiber(args):
     u = _load_sequence(args)
-    _emit(args, ff.format_dfa(fiber(u, args.symbol)))
+    _emit(args.output, ff.format_dfa(fiber(u, args.symbol)))
 
 
 def cmd_fibers_to_dfao(args):
@@ -163,7 +167,7 @@ def cmd_fibers_to_dfao(args):
         if sym in fibers:
             raise AnsError(f"--fiber repeats symbol {sym!r}")
         fibers[sym] = _load_dfa(path)
-    _emit(args, ff.format_dfao(dfao_from_fibers(system, fibers)))
+    _emit(args.output, ff.format_dfao(dfao_from_fibers(system, fibers)))
 
 
 def cmd_kernel(args):
@@ -194,7 +198,7 @@ def cmd_kernel(args):
 
 def cmd_kernel_to_dfao(args):
     u = _load_sequence(args)
-    _emit(args, ff.format_dfao(dfao_from_kernel(u.term, u.system, args.bound)))
+    _emit(args.output, ff.format_dfao(dfao_from_kernel(u.term, u.system, args.bound)))
 
 
 def cmd_gaps(args):
@@ -218,7 +222,7 @@ def cmd_gaps(args):
 
 def cmd_subst(args):
     sub = canonical_substitution(_load_dfa(args.system), _load_dfao(args.machine))
-    _emit(args, ff.format_substitution(sub))
+    _emit(args.output, ff.format_substitution(sub))
     if args.count:
         print(_render_terms(take(sub.generate(), args.count)))
 
@@ -229,10 +233,9 @@ def cmd_from_morphism(args):
     if args.symbols:
         symbols = args.symbols.split() if any(c.isspace() for c in args.symbols) else list(args.symbols)
     system, machine = system_from_morphism(phi, axiom, symbols)
-    _emit(args, ff.format_dfa(system.language))
+    _emit(args.output, ff.format_dfa(system.language))
     if args.machine_out:
-        with open(args.machine_out, "w", encoding="utf-8") as fh:
-            fh.write(ff.format_dfao(machine))
+        _emit(args.machine_out, ff.format_dfao(machine))
 
 
 def cmd_fixpoint(args):
@@ -241,6 +244,8 @@ def cmd_fixpoint(args):
 
 
 def cmd_complexity(args):
+    if args.nmax > args.prefix:
+        raise AnsError(f"--nmax {args.nmax} exceeds --prefix {args.prefix}")
     u = _load_sequence(args)
     profile = factor_count(u.stream(), args.prefix, args.nmax)
     if args.json:
@@ -301,11 +306,11 @@ def cmd_equiv(args):
 
 
 def cmd_minimize(args):
-    _emit(args, ff.format_dfa(minimize(_load_dfa(args.input))))
+    _emit(args.output, ff.format_dfa(minimize(_load_dfa(args.input))))
 
 
 def cmd_reduce(args):
-    _emit(args, ff.format_dfao(reduce_dfao(_load_dfao(args.input))))
+    _emit(args.output, ff.format_dfao(reduce_dfao(_load_dfao(args.input))))
 
 
 # -- parser -----------------------------------------------------------------

@@ -58,11 +58,6 @@ class NumerationSystem:
         self._ensure(length)
         return self._counts[self.language.start][length]
 
-    def count_from(self, state, length: int) -> int:
-        """Number of accepted words of the given length readable from `state`."""
-        self._ensure(length)
-        return self._counts[state][length]
-
     # -- rank / unrank ----------------------------------------------------
 
     def rep(self, n: int) -> Word:
@@ -88,7 +83,6 @@ class NumerationSystem:
         return tuple(out)
 
     def _length_of_rank(self, n: int) -> int:
-        length = 0
         while self._cum[-1] <= n:
             self._ensure(self._filled + 1)
         # binary search the cumulative table

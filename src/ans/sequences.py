@@ -23,18 +23,15 @@ from .automata import (
     BOTTOM,
     Dfa,
     Dfao,
-    OrderedAlphabet,
     Word,
+    _reachable_product,
     _refine,
-    distinguishing_word,
-    equivalent,
+    _require_same_alphabet,
     intersect,
-    is_empty,
     minimize,
     reduce_dfao,
-    union,
 )
-from .errors import AlphabetMismatchError, AnsError, KernelBoundError, PartitionError
+from .errors import AnsError, KernelBoundError, PartitionError
 from .numeration import NumerationSystem
 
 SequenceStream = Iterator
@@ -65,11 +62,7 @@ def _fused_stream(system: NumerationSystem, machine: Dfao, root, mstate) -> Sequ
 
 def sequence(system: NumerationSystem, machine: Dfao) -> SequenceStream:
     """Lazily yield the sequence of machine outputs over all ranks 0, 1, 2, …"""
-    if machine.alphabet.symbols != system.alphabet.symbols:
-        raise AlphabetMismatchError(
-            f"machine alphabet {machine.alphabet.symbols!r} differs from "
-            f"system alphabet {system.alphabet.symbols!r}"
-        )
+    _require_same_alphabet(system, machine)
     m = machine if machine.is_complete() else machine.completed()
     return _fused_stream(system, m, system.language.start, m.start)
 
@@ -88,11 +81,7 @@ class AutomaticSequence:
     output_alphabet: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.machine.alphabet.symbols != self.system.alphabet.symbols:
-            raise AlphabetMismatchError(
-                f"machine alphabet {self.machine.alphabet.symbols!r} differs "
-                f"from system alphabet {self.system.alphabet.symbols!r}"
-            )
+        _require_same_alphabet(self.system, self.machine)
         object.__setattr__(self, "output_alphabet", self.machine.output_alphabet)
 
     def term(self, n: int):
@@ -121,54 +110,40 @@ def dfao_from_fibers(system: NumerationSystem, fibers: dict) -> Dfao:
     result are reachable tuples of per-fiber states; a tuple accepted by
     exactly one fiber outputs that fiber's symbol, and tuples reached only
     by words outside the language output the placeholder "⊥".
+
+    One product of the language with every fiber finds both kinds of
+    witness: the least overlapping pair of fibers, in the order given, and
+    the shortlex-least word on which the fibers' union and the language
+    disagree (the first such tuple in breadth-first order).
     """
     symbols = tuple(fibers)
     if not symbols:
         raise PartitionError("no fibers given")
-    for a, f in fibers.items():
-        if f.alphabet.symbols != system.alphabet.symbols:
-            raise AlphabetMismatchError(
-                f"fiber for {a!r} uses alphabet {f.alphabet.symbols!r}, "
-                f"expected {system.alphabet.symbols!r}"
-            )
-    for i, a in enumerate(symbols):
-        for b in symbols[i + 1 :]:
-            overlap = intersect(fibers[a], fibers[b])
-            if not is_empty(overlap):
-                raise PartitionError(f"fibers for {a!r} and {b!r} overlap")
-    covered = fibers[symbols[0]]
-    for a in symbols[1:]:
-        covered = union(covered, fibers[a])
-    if not equivalent(covered, system.language):
-        w = distinguishing_word(covered, system.language)
-        label = "".join(map(str, w)) if w else "the empty word"
+    lang = system.language.completed()
+    parts = [fibers[a].completed() for a in symbols]
+    order, trans, word = _reachable_product([lang, *parts])
+    out = {}
+    overlap = gap = None
+    for q in order:
+        hits = [i for i, (p, f) in enumerate(zip(q[1:], parts)) if p in f.finals]
+        if len(hits) > 1 and (overlap is None or hits[:2] < overlap):
+            overlap = hits[:2]
+        if gap is None and bool(hits) != (q[0] in lang.finals):
+            gap = word[q]
+        out.setdefault(q[1:], symbols[hits[0]] if hits else BOTTOM)
+    if overlap is not None:
+        raise PartitionError(f"fibers for {symbols[overlap[0]]!r} and {symbols[overlap[1]]!r} overlap")
+    if gap is not None:
+        label = "".join(map(str, gap)) if gap else "the empty word"
         raise PartitionError(
             f"fibers do not cover the language exactly: {label} separates their "
             "union from it"
         )
-
-    parts = [fibers[a].completed() for a in symbols]
-    start = tuple(p.start for p in parts)
-    states = [start]
-    seen = {start}
-    trans = {}
-    out = {}
-    i = 0
-    while i < len(states):
-        q = states[i]
-        i += 1
-        hits = [a for a, p, comp in zip(symbols, q, parts) if p in comp.finals]
-        if len(hits) > 1:  # pragma: no cover - excluded by the overlap check
-            raise PartitionError(f"fibers for {hits[0]!r} and {hits[1]!r} overlap")
-        out[q] = hits[0] if hits else BOTTOM
-        for s in system.alphabet:
-            q2 = tuple(comp.trans[(p, s)] for p, comp in zip(q, parts))
-            trans[(q, s)] = q2
-            if q2 not in seen:
-                seen.add(q2)
-                states.append(q2)
+    # project onto the fiber coordinates: where a tuple of fiber states
+    # leads does not depend on the language's state beside it
+    ptrans = {(q[1:], s): q2[1:] for (q, s), q2 in trans.items()}
     out_alpha = symbols if BOTTOM not in out.values() else symbols + (BOTTOM,)
-    machine = Dfao(system.alphabet, tuple(states), start, trans, out, out_alpha)
+    machine = Dfao(system.alphabet, tuple(out), order[0][1:], ptrans, out, out_alpha)
     return machine.renumbered()
 
 
@@ -199,58 +174,14 @@ def kernel(u: AutomaticSequence) -> tuple[KernelClass, ...]:
     lang = minimize(u.system.language).completed()
     mach = reduce_dfao(u.machine).completed()
     alive = lang.coaccessible()
-    alphabet = u.system.alphabet
-
-    start = (lang.start, mach.start)
-    pairs = [start]
-    seen = {start}
-    trans = {}
-    i = 0
-    while i < len(pairs):
-        ql, qm = pairs[i]
-        i += 1
-        for s in alphabet:
-            q2 = (lang.trans[(ql, s)], mach.trans[(qm, s)])
-            trans[((ql, qm), s)] = q2
-            if q2 not in seen:
-                seen.add(q2)
-                pairs.append(q2)
-
-    block = {
-        (ql, qm): (True, mach.output[qm]) if ql in lang.finals else (False, None)
-        for (ql, qm) in pairs
-    }
-    ids = {}
+    pairs, trans, word = _reachable_product((lang, mach))
+    label = {(ql, qm): (True, mach.output[qm]) if ql in lang.finals else (False, None) for ql, qm in pairs}
+    block = _refine(pairs, u.system.alphabet, trans, label)
+    # blocks in order of their first pair, whose access word is the least
+    first = {}
     for q in pairs:
-        ids.setdefault(block[q], len(ids))
-    block = _refine(tuple(pairs), alphabet, trans, {q: ids[block[q]] for q in pairs})
-
-    word_to = {start: ()}
-    queue = [start]
-    i = 0
-    while i < len(queue):
-        q = queue[i]
-        i += 1
-        for s in alphabet:
-            q2 = trans[(q, s)]
-            if q2 not in word_to:
-                word_to[q2] = word_to[q] + (s,)
-                queue.append(q2)
-
-    key = lambda w: (len(w), alphabet.word_key(w))
-    best: dict[int, Word] = {}
-    for q in pairs:
-        w = word_to[q]
-        b = block[q]
-        if b not in best or key(w) < key(best[b]):
-            best[b] = w
-    reps = sorted(best.values(), key=key)
-    classes = []
-    for cid, w in enumerate(reps):
-        ql = lang.run(w)
-        qm = mach.run(w)
-        classes.append(KernelClass(cid, w, (ql, qm), ql not in alive))
-    return tuple(classes)
+        first.setdefault(block[q], q)
+    return tuple(KernelClass(i, word[q], q, q[0] not in alive) for i, q in enumerate(first.values()))
 
 
 def subsequence(u: AutomaticSequence, k: KernelClass) -> SequenceStream:

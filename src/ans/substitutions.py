@@ -18,7 +18,7 @@ still stream their words in time proportional to the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterator
 
 from .automata import Dfa, Dfao, OrderedAlphabet, Word, product
@@ -55,9 +55,6 @@ class Morphism:
         for x in word:
             out.extend(self.images[x])
         return tuple(out)
-
-    def apply_letter(self, x) -> Word:
-        return self.images[x]
 
     def is_endomorphism(self) -> bool:
         return self.domain.symbols == self.codomain.symbols
@@ -158,9 +155,6 @@ class Substitution:
         reach = self.phi._reach_plus()
         candidates = {self.seed} | reach[self.seed]
         return any(x in growing and self.coding.images[x] for x in candidates)
-
-    def fixed_point_stream(self) -> Iterator:
-        return fixed_point(self.phi, self.seed)
 
     def generate(self) -> Iterator:
         """Stream h(phi^omega(seed)) without expanding erased subtrees.

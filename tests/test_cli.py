@@ -68,6 +68,22 @@ def test_domain_errors_exit_2(files, capsys):
     assert "bad.dfa:2" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_2(files, capsys):
+    nowhere = files["dir"] / "no" / "such" / "dir"
+    assert cli.main(["minimize", files["lang"], "-o", str(nowhere / "min.dfa")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {nowhere / 'min.dfa'}: ")
+    lang_out = files["dir"] / "lang.dfa"
+    argv = ["from-morphism", files["morphism"], "-o", str(lang_out), "--machine-out", str(nowhere / "m.dfao")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {nowhere / 'm.dfao'}: ")
+
+
+def test_complexity_nmax_above_prefix_exits_2(files, capsys):
+    argv = ["complexity", "-s", files["lang"], "-m", files["machine"], "--prefix", "10", "--nmax", "20"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: --nmax 20 exceeds --prefix 10\n"
+
+
 def test_usage_errors_exit_2(files, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["rep", "-s", files["lang"], "-1"])
