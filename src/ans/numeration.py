@@ -6,10 +6,12 @@ order) represents the integer n, starting at n = 0.  Ranks are plain Python
 integers, so arbitrarily large values are exact.
 
 Counting tables u_q(m) = number of accepted words of length m readable from
-state q are filled lazily and memoized; rep/val/enumeration all run off
-them, skipping letters whose whole subtree counts zero.  Instances never
-mutate their public state; concurrent readers either tolerate the appends
-the cache performs or synchronize externally.
+state q are filled lazily and memoized.  rep and val read them along one
+word; every shortlex listing (words, machine sequences, kernel subsequences,
+``Substitution.generate``) is one depth-first walk, ``_walk``, that enters
+only subtrees with a nonzero count.  Instances never mutate their public
+state; concurrent readers either tolerate the appends the cache performs or
+synchronize externally.
 """
 
 from __future__ import annotations
@@ -125,113 +127,67 @@ class NumerationSystem:
 
     # -- enumeration ------------------------------------------------------
 
-    def cursor(self, start_rank: int = 0, root=None) -> "_Cursor":
-        """Stateful shortlex cursor; `root` picks a different base state."""
-        return _Cursor(self, start_rank, self.language.start if root is None else root)
-
     def enumerate(self, start_rank: int = 0) -> Iterator[Word]:
         """Lazily yield accepted words in shortlex order from a given rank."""
-        cur = self.cursor(start_rank)
-        while True:
-            yield tuple(cur.word)
-            cur.advance()
+        start = self.language.start
+        for word, _ in self._walk(start, self.language.trans, start, self.rep(start_rank)):
+            yield tuple(word)
 
     def words_from(self, state) -> Iterator[Word]:
         """Shortlex stream of accepted words readable from `state`."""
-        cur = self.cursor(0, root=state)
-        while not cur.exhausted:
-            yield tuple(cur.word)
-            cur.advance()
+        for word, _ in self._walk(state, self.language.trans, state):
+            yield tuple(word)
 
+    def _walk(self, root, step: dict, carried, word=None) -> Iterator[tuple[list, object]]:
+        """Depth-first shortlex walk over the words accepted from `root`.
 
-class _Cursor:
-    """Odometer over the shortlex enumeration of words accepted from a root.
-
-    ``word``/``states`` expose the current word and its run; ``advance()``
-    moves to the next word and returns the first position whose letter
-    changed, which lets callers patch any parallel run incrementally.
-    """
-
-    def __init__(self, system: NumerationSystem, start_rank: int, root):
-        self.sys = system
-        self.root = root
-        self.word: list = []
-        self.states: list = [root]
-        self.exhausted = False
-        if root == system.language.start:
-            word = system.rep(start_rank)
-            self._init_at(word)
-        else:
-            if start_rank != 0:
-                raise ValueError("rooted cursors start at rank 0")
-            if not self._first_of_some_length(0):
-                self.exhausted = True
-
-    def _init_at(self, word):
-        self.word = list(word)
-        states = [self.root]
-        for a in word:
-            states.append(self.sys.language.trans[(states[-1], a)])
-        self.states = states
-
-    def _first_of_some_length(self, length: int) -> bool:
-        """Position at the least word of length >= `length`, if any exists.
-
-        Accepted lengths from a live state are at most #states apart (pump
-        one simple cycle out of a long accepted path), so a run of
-        #states + 1 empty lengths proves exhaustion.
+        Nodes are (state, remaining length) pairs, one tree per length; a
+        child is entered only if its count is nonzero, so every descent ends
+        in an accepted word.  Each node also carries the state of a second
+        transition map `step`, entered at `carried` and defined on every
+        letter the walk reads.  Each leaf yields the word buffer (reused:
+        copy it to keep it) and the carried state.  The walk starts at
+        `word`, an accepted word, or else at the least word.  Accepted
+        lengths from a live state are at most #states apart, so #states + 1
+        empty lengths in a row end it.
         """
-        sys = self.sys
-        probe = length
-        zeros = 0
+        counts, succ = self._counts, self._succ
+        # the length of the tree before the first one, and the depth to expand
+        m, d = -1 if word is None else len(word) - 1, -1
         while True:
-            sys._ensure(probe)
-            if sys._counts[self.root][probe] > 0:
-                break
-            zeros += 1
-            if zeros > len(sys.language.states):
-                return False
-            probe += 1
-        self.word = [None] * probe
-        self.states = [self.root] + [None] * probe
-        self._fill_min(0)
-        return True
-
-    def _fill_min(self, i: int):
-        """Fill positions i.. with the least letters keeping the count positive."""
-        sys = self.sys
-        counts = sys._counts
-        m = len(self.word)
-        q = self.states[i]
-        for j in range(i, m):
-            rest = m - j - 1
-            for a, q2 in sys._succ[q]:
-                if counts[q2][rest] > 0:
-                    self.word[j] = a
-                    self.states[j + 1] = q2
-                    q = q2
-                    break
-            else:  # pragma: no cover
-                raise AssertionError("count tables out of sync")
-
-    def advance(self) -> int:
-        """Step to the next word; returns the first changed position."""
-        sys = self.sys
-        counts = sys._counts
-        alphabet = sys.alphabet
-        m = len(self.word)
-        for i in range(m - 1, -1, -1):
-            rest = m - i - 1
-            q = self.states[i]
-            cur = alphabet.index(self.word[i])
-            for a, q2 in sys._succ[q]:
-                if alphabet.index(a) <= cur:
+            while d >= 0:
+                if d == m:
+                    yield buf, cs[m]
+                    d -= 1
                     continue
-                if counts[q2][rest] > 0:
-                    self.word[i] = a
-                    self.states[i + 1] = q2
-                    self._fill_min(i + 1)
-                    return i
-        if not self._first_of_some_length(m + 1):
-            self.exhausted = True
-        return 0
+                row = succ[qs[d]]
+                rest = m - d - 1
+                i, n = nxt[d], len(row)
+                while i < n and not counts[row[i][1]][rest]:
+                    i += 1
+                if i == n:
+                    nxt[d] = 0
+                    d -= 1
+                    continue
+                a, q = row[i]
+                nxt[d] = i + 1
+                buf[d] = a
+                qs[d + 1] = q
+                cs[d + 1] = step[(cs[d], a)]
+                d += 1
+            zeros = 0
+            while True:
+                m += 1
+                self._ensure(m)
+                if counts[root][m]:
+                    break
+                zeros += 1
+                if zeros > len(self.language.states):
+                    return
+            buf, qs, cs, nxt, d = [None] * m, [root] + [None] * m, [carried] + [None] * m, [0] * m, 0
+            if word is not None:  # enter the first tree along the word, not its least word
+                q = root
+                for j, a in enumerate(word):
+                    nxt[j] = [b for b, _q in succ[q]].index(a)
+                    q = self.language.trans[(q, a)]
+                word = None

@@ -37,34 +37,24 @@ from .numeration import NumerationSystem
 SequenceStream = Iterator
 
 
-def _fused_stream(system: NumerationSystem, machine: Dfao, root, mstate) -> SequenceStream:
-    """Outputs of `machine` over the shortlex words accepted from `root`.
+def _outputs(system: NumerationSystem, machine: Dfao, prefix: Word = ()) -> SequenceStream:
+    """Outputs of `machine` on the accepted words `prefix` z, in shortlex order of z.
 
-    `machine` must be complete and `mstate` is where its run currently
-    stands.  The cursor reports the first position that changed between
-    consecutive words, so the machine's run is patched, not recomputed.
+    The walk carries the completed machine's state down the tree, so each
+    word costs the letters it does not share with the previous one.
     """
-    cur = system.cursor(0, root=root)
-    if cur.exhausted:
-        return
-    stack = [mstate]
-    for a in cur.word:
-        stack.append(machine.trans[(stack[-1], a)])
-    while True:
-        yield machine.output[stack[-1]]
-        i = cur.advance()
-        if cur.exhausted:
-            return
-        del stack[i + 1 :]
-        for a in cur.word[i:]:
-            stack.append(machine.trans[(stack[-1], a)])
+    root = system.language.run(prefix)
+    if root is None:
+        return iter(())
+    m = machine if machine.is_complete() else machine.completed()
+    out = m.output
+    return (out[c] for _, c in system._walk(root, m.trans, m.run(prefix)))
 
 
 def sequence(system: NumerationSystem, machine: Dfao) -> SequenceStream:
     """Lazily yield the sequence of machine outputs over all ranks 0, 1, 2, …"""
     _require_same_alphabet(system, machine)
-    m = machine if machine.is_complete() else machine.completed()
-    return _fused_stream(system, m, system.language.start, m.start)
+    return _outputs(system, machine)
 
 
 def take(stream: Iterable, n: int) -> tuple:
@@ -190,12 +180,7 @@ def subsequence(u: AutomaticSequence, k: KernelClass) -> SequenceStream:
     Continuations are enumerated shortlex; the stream is finite or empty
     when the prefix admits few or no accepted extensions.
     """
-    w = k.representative_prefix
-    root = u.system.language.run(w)
-    if root is None:
-        return iter(())
-    m = u.machine if u.machine.is_complete() else u.machine.completed()
-    return _fused_stream(u.system, m, root, m.run(w))
+    return _outputs(u.system, u.machine, k.representative_prefix)
 
 
 def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, bound: int) -> Dfao:

@@ -10,19 +10,24 @@ The two directions implemented here:
   symbol) and returns the induced numeration system and identity-output
   machine, whose sequence concatenates the iterates of the morphism.
 
-``Substitution.generate()`` never materializes the fixed point: subtrees of
-the expansion whose coding image is empty are skipped wholesale, so heavily
-erasing codings (the rule, not the exception, for pair-state substitutions)
-still stream their words in time proportional to the output.
+``Substitution.generate()`` never materializes the fixed point.  It reads
+the substitution as a numeration system whose words are the positions of
+the fixed point (see ``Substitution``) and streams it with the shortlex walk
+of ``numeration``, the one that also streams machine sequences.  Erased
+letters are not final, so a subtree of the expansion whose coding image is
+empty counts zero words and is never entered, and heavily erasing codings
+(the rule, not the exception, for pair-state substitutions) still stream in
+time proportional to the output.  The same system decides, exactly and in
+linear time, whether the generated word is infinite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterator
 
 from .automata import Dfa, Dfao, OrderedAlphabet, Word, product
-from .errors import NotProlongableError
+from .errors import FiniteLanguageError, NotProlongableError
 from .numeration import NumerationSystem
 
 
@@ -69,41 +74,6 @@ class Morphism:
     def is_weak_coding(self) -> bool:
         return all(len(img) <= 1 for img in self.images.values())
 
-    # -- letter dependency analysis (used by the infinite-image check) ----
-
-    def _reach_plus(self) -> dict:
-        """letter -> set of letters reachable through one or more images."""
-        edges = {x: set(self.images[x]) for x in self.domain}
-        reach = {}
-        for x in self.domain:
-            seen = set(edges[x])
-            queue = list(seen)
-            while queue:
-                y = queue.pop()
-                for z in edges.get(y, ()):
-                    if z not in seen:
-                        seen.add(z)
-                        queue.append(z)
-            reach[x] = seen
-        return reach
-
-    def growing_letters(self) -> frozenset:
-        """Letters whose iterated image lengths are unbounded.
-
-        A letter grows exactly when it reaches a letter on a cycle whose
-        image contains two or more immortal letters counted with
-        multiplicity (every extra immortal survives each turn of the cycle).
-        """
-        reach = self._reach_plus()
-        cyclic = {x for x in self.domain if x in reach[x]}
-        immortal = {x for x in self.domain if cyclic & ({x} | reach[x])}
-        pumping = {
-            y
-            for y in cyclic
-            if sum(1 for z in self.images[y] if z in immortal) >= 2
-        }
-        return frozenset(x for x in self.domain if pumping & ({x} | reach[x]))
-
 
 def fixed_point(phi: Morphism, seed) -> Iterator:
     """Lazily yield the fixed point of `phi` starting with the letter `seed`.
@@ -131,70 +101,48 @@ def fixed_point(phi: Morphism, seed) -> Iterator:
 
 @dataclass(frozen=True)
 class Substitution:
-    """Prolongable morphism + weak coding + seed, generating h(phi^omega(seed))."""
+    """Prolongable morphism + weak coding + seed, generating h(phi^omega(seed)).
+
+    phi^omega(seed) = seed t phi(t) phi^2(t) ... for phi(seed) = seed t, so
+    the positions after the seed are the words of a numeration system:
+    letters are states, the i-th input symbol moves a letter to the i-th
+    letter of its image, and a fresh start state reads t, skipping the
+    seed's self-loop.  Letters with a nonempty coding image are final, so
+    the walk lists the coded positions in order.
+    """
 
     phi: Morphism
     coding: Morphism
     seed: Hashable
+    _system: NumerationSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.phi.is_prolongable_on(self.seed):
             raise NotProlongableError(f"phi is not prolongable on {self.seed!r}")
         if not self.coding.is_weak_coding():
             raise ValueError("the coding must map every letter to one letter or the empty word")
-        if set(self.coding.images) < set(self.phi.domain.symbols):
+        if not set(self.phi.domain.symbols) <= set(self.coding.images):
             raise ValueError("the coding must be total on phi's alphabet")
-        if not self._image_provably_infinite():
-            raise ValueError(
-                "the coding erases too much: no growing letter with a nonempty image "
-                "is reachable from the seed, so the generated word may be finite"
-            )
-
-    def _image_provably_infinite(self) -> bool:
-        growing = self.phi.growing_letters()
-        reach = self.phi._reach_plus()
-        candidates = {self.seed} | reach[self.seed]
-        return any(x in growing and self.coding.images[x] for x in candidates)
+        images = self.phi.images
+        start = object()  # unequal to every letter
+        trans = {(x, i): y for x, img in images.items() for i, y in enumerate(img)}
+        trans.update({(start, i): y for i, y in enumerate(images[self.seed]) if i})
+        inputs = OrderedAlphabet(tuple(range(max(map(len, images.values())))))
+        finals = frozenset(x for x in self.phi.domain if self.coding.images[x])
+        try:
+            system = NumerationSystem(Dfa(inputs, (start, *self.phi.domain), start, finals, trans))
+        except FiniteLanguageError:
+            raise ValueError("the coding erases too much: the generated word is finite") from None
+        object.__setattr__(self, "_system", system)
 
     def generate(self) -> Iterator:
-        """Stream h(phi^omega(seed)) without expanding erased subtrees.
+        """Stream h(phi^omega(seed)): h(seed), then the coded letters of the walk."""
+        h = self.coding.images
+        yield from h[self.seed]
+        lang = self._system.language
+        for _, x in self._system._walk(lang.start, lang.trans, lang.start):
+            yield h[x][0]
 
-        Writing the fixed point as seed * phi^0(t) * phi^1(t) * ... for the
-        tail t of phi(seed), each level is expanded depth-first, skipping
-        letters whose depth-d expansion contains no coded letter at all.
-        """
-        phi_img = self.phi.images
-        h_img = self.coding.images
-        yield from h_img[self.seed]
-        tail = phi_img[self.seed][1:]
-        # emits[d][x] == True iff h(phi^d(x)) is nonempty
-        emits = [{x: bool(h_img[x]) for x in self.phi.domain}]
-        level_letters = set(tail)
-        silent_since: dict = {}
-        depth = 0
-        while True:
-            if not level_letters:
-                return
-            key = frozenset(level_letters)
-            if key in silent_since:
-                return  # the letter sets cycle without ever coding a letter
-            silent_since[key] = depth
-            emitted = False
-            stack = [(t, depth) for t in reversed(tail) if emits[depth][t]]
-            while stack:
-                x, d = stack.pop()
-                if d == 0:
-                    yield from h_img[x]
-                    emitted = True
-                    continue
-                lower = emits[d - 1]
-                stack.extend((y, d - 1) for y in reversed(phi_img[x]) if lower[y])
-            if emitted:
-                silent_since.clear()
-            depth += 1
-            prev = emits[-1]
-            emits.append({x: any(prev[y] for y in phi_img[x]) for x in self.phi.domain})
-            level_letters = {y for x in level_letters for y in phi_img[x]}
 
 ALPHA_BASE = "@a"  # reserved-prefix name for the fresh seed letter of state morphisms
 

@@ -170,10 +170,10 @@ def test_substitution_roundtrip():
 
 
 def test_substitution_coding_lines():
-    text = MOR_TEXT + "h: x -> 0\nh: y -> @eps\n"
+    text = MOR_TEXT + "h: x -> @eps\nh: y -> 0\n"
     t = parse_substitution(text)
-    assert t.coding.images["x"] == ("0",)
-    assert t.coding.images["y"] == ()
+    assert t.coding.images["x"] == ()
+    assert t.coding.images["y"] == ("0",)
 
 
 def test_substitution_rejects_total_erasure():

@@ -64,14 +64,6 @@ def test_prolongability():
     assert not swapped.is_prolongable_on(0)  # image starts with the wrong letter
 
 
-def test_growing_letters():
-    assert witness_morphism().growing_letters() == frozenset({0, 1})
-    assert tm_morphism().growing_letters() == frozenset({"0", "1"})
-    ab = OrderedAlphabet(("a", "b"))
-    lazy = Morphism(ab, ab, {"a": ("a", "b"), "b": ("b",)})
-    assert lazy.growing_letters() == frozenset({"a"})
-
-
 def test_fixed_point_matches_iterated_images():
     phi = witness_morphism()
     w = (0,)
@@ -104,9 +96,12 @@ def test_substitution_validation():
     partial = Morphism(OrderedAlphabet((0, 1)), phi.domain, {0: (0,), 1: (1,)})
     with pytest.raises(ValueError, match="total"):
         Substitution(phi, partial, 0)
-    erasing = Morphism(phi.domain, phi.domain, {0: (), 1: (), 2: (2,)})
+    # 0 1 1 2 1 2 2 1 2 2 2 ...: infinitely many 2s survive the coding
+    keep2 = Morphism(phi.domain, phi.domain, {0: (), 1: (), 2: (2,)})
+    assert take(Substitution(phi, keep2, 0).generate(), 20) == (2,) * 20
+    keep0 = Morphism(phi.domain, phi.domain, {0: (0,), 1: (), 2: ()})
     with pytest.raises(ValueError, match="erases too much"):
-        Substitution(phi, erasing, 0)
+        Substitution(phi, keep0, 0)
 
 
 def test_generate_with_identity_coding_is_the_fixed_point():
@@ -128,6 +123,25 @@ def test_generate_skips_erased_letters():
     assert take(t.generate(), len(expected) - 10) == expected[:-10]
 
 
+def sxy_substitution(images):
+    """Seed s over letters s, x, y; the coding keeps only x, as a."""
+    sxy = OrderedAlphabet(("s", "x", "y"))
+    h = Morphism(sxy, OrderedAlphabet(("a",)), {"s": (), "x": ("a",), "y": ()})
+    return Substitution(Morphism(sxy, sxy, images), h, "s")
+
+
+def test_substitution_with_finite_coded_word_is_rejected():
+    # s x y yy yyyy ...: the one x is the only coded letter
+    with pytest.raises(ValueError, match="erases too much"):
+        sxy_substitution({"s": ("s", "x"), "x": ("y",), "y": ("y", "y")})
+
+
+def test_substitution_with_infinite_coded_word_is_accepted():
+    # s y yx yxx yxxx ...: every level adds one more x
+    t = sxy_substitution({"s": ("s", "y"), "x": ("x",), "y": ("y", "x")})
+    assert "".join(take(t.generate(), 300)) == "a" * 300
+
+
 # -- from sequences to substitutions -----------------------------------------
 
 
@@ -145,6 +159,16 @@ def test_canonical_substitution_thue_morse(thue_morse):
 def test_canonical_substitution_squares(squares_sequence):
     t = canonical_substitution(squares_sequence.system.language, squares_sequence.machine)
     assert take(t.generate(), 2_000) == squares_sequence.prefix(2_000)
+
+
+def test_canonical_substitution_unary_language():
+    # over one letter every pair letter has a one-letter image: only the seed grows
+    a = OrderedAlphabet(("a",))
+    lang = Dfa(a, ("p",), "p", frozenset({"p"}), {("p", "a"): "p"})
+    mach = Dfao(a, ("x", "y", "z"), "x", {("x", "a"): "y", ("y", "a"): "z", ("z", "a"): "y"},
+                {"x": "0", "y": "1", "z": "2"}, ("0", "1", "2"))
+    t = canonical_substitution(lang, mach)
+    assert "".join(take(t.generate(), 9)) == "012121212"
 
 
 def test_substitution_of_pair_letters(teaching):
