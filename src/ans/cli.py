@@ -70,16 +70,26 @@ def _word_arg(text: str, alphabet: OrderedAlphabet):
         raise AnsError(str(e)) from e
 
 
-def _emit(path: str | None, text: str):
+def _emit(path: str | None, text: str, mode: str = "w"):
     """Write `text` to the file at `path`, or to stdout when no path is given."""
     if not path:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
         raise AnsError(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def _check_writable(*paths: str | None):
+    """Fail as `_emit` would, before any output is written, if a path cannot
+    be opened; a file created only to find that out is removed again."""
+    for path in filter(None, paths):
+        new = not os.path.exists(path)
+        _emit(path, "", "a")  # opening to append nothing leaves a file as it was
+        if new:
+            os.remove(path)
 
 
 def _emit_json(obj):
@@ -233,6 +243,7 @@ def cmd_from_morphism(args):
     if args.symbols:
         symbols = args.symbols.split() if any(c.isspace() for c in args.symbols) else list(args.symbols)
     system, machine = system_from_morphism(phi, axiom, symbols)
+    _check_writable(args.output, args.machine_out)
     _emit(args.output, ff.format_dfa(system.language))
     if args.machine_out:
         _emit(args.machine_out, ff.format_dfao(machine))

@@ -78,6 +78,18 @@ def test_unwritable_output_exits_2(files, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {nowhere / 'm.dfao'}: ")
 
 
+def test_unwritable_machine_out_leaves_no_file(files, capsys):
+    nowhere = files["dir"] / "no" / "such" / "dir"
+    lang_out, kept = files["dir"] / "fresh.dfa", files["dir"] / "kept.dfa"
+    kept.write_text("old\n")
+    for out in (lang_out, kept):
+        argv = ["from-morphism", files["morphism"], "-o", str(out), "--machine-out", str(nowhere / "m.dfao")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {nowhere / 'm.dfao'}: ")
+    assert not lang_out.exists()
+    assert kept.read_text() == "old\n"
+
+
 def test_complexity_nmax_above_prefix_exits_2(files, capsys):
     argv = ["complexity", "-s", files["lang"], "-m", files["machine"], "--prefix", "10", "--nmax", "20"]
     assert cli.main(argv) == 2
