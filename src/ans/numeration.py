@@ -9,9 +9,9 @@ Counting tables u_q(m) = number of accepted words of length m readable from
 state q are filled lazily and memoized.  rep and val read them along one
 word; every shortlex listing (words, machine sequences, kernel subsequences,
 ``Substitution.generate``) is one depth-first walk, ``_walk``, that enters
-only subtrees with a nonzero count.  Instances never mutate their public
-state; concurrent readers either tolerate the appends the cache performs or
-synchronize externally.
+only subtrees with a nonzero count and crosses each run of one-child nodes
+in one step.  Instances never mutate their public state; concurrent readers
+either tolerate the appends the cache performs or synchronize externally.
 """
 
 from __future__ import annotations
@@ -142,39 +142,56 @@ class NumerationSystem:
         """Depth-first shortlex walk over the words accepted from `root`.
 
         Nodes are (state, remaining length) pairs, one tree per length; a
-        child is entered only if its count is nonzero, so every descent ends
-        in an accepted word.  Each node also carries the state of a second
-        transition map `step`, entered at `carried` and defined on every
-        letter the walk reads.  Each leaf yields the word buffer (reused:
-        copy it to keep it) and the carried state.  The walk starts at
-        `word`, an accepted word, or else at the least word.  Accepted
-        lengths from a live state are at most #states apart, so #states + 1
-        empty lengths in a row end it.
+        child is live if its count is nonzero, so every descent ends in an
+        accepted word.  Below the root, a node with one live child is never
+        stacked: a branching node's live children are found once per walk
+        (or per tree, if no later tree meets the node), each followed
+        through its one-child chain to the next branching node or leaf.
+        Each node also carries the state of a second transition map `step`,
+        entered at `carried` and defined on every letter the walk reads;
+        the state at a chain's end is memoized per state at its start.  So
+        where the words of length m grow at least linearly in m, a word
+        costs amortized constant work plus one slice copy of its chain into
+        the buffer.  Each leaf yields that buffer (reused: copy it to keep
+        it) and the carried state.  The walk starts at `word`, an accepted
+        word, or else at the least word.  Accepted lengths from a live state
+        are at most #states apart, so #states + 1 empty lengths in a row end
+        it.
         """
         counts, succ = self._counts, self._succ
-        # the length of the tree before the first one, and the depth to expand
-        m, d = -1 if word is None else len(word) - 1, -1
+
+        # branching (state, remaining length) -> its live children, as chains.
+        # Later trees meet a node again only if a cycle precedes its state on
+        # the path from the root, as it does once the state is #states deep.
+        # Other rows are kept for their own tree, unless the tree is shorter
+        # than #states: such rows stay few and short.
+        kids, again = {}, set()
+
+        def branches(q, r):
+            if m - r >= len(succ):
+                again.add(q)
+            memo = kids if m < len(succ) or q in again else near
+            row = memo.get((q, r))
+            if row is None:
+                row = memo[q, r] = []
+                for a, q2 in succ[q]:
+                    letters, r2 = [a], r - 1
+                    if not counts[q2][r2]:
+                        continue
+                    while r2:  # follow the chain while one live child holds all the node's words
+                        for b, q3 in succ[q2]:
+                            if counts[q3][r2 - 1]:
+                                break
+                        if counts[q3][r2 - 1] < counts[q2][r2]:
+                            break
+                        letters.append(b)
+                        q2, r2 = q3, r2 - 1
+                    # (letters, end state, end remaining length, carried state at the end by state at the start)
+                    row.append((tuple(letters), q2, r2, {}))
+            return row
+
+        m = -1 if word is None else len(word) - 1
         while True:
-            while d >= 0:
-                if d == m:
-                    yield buf, cs[m]
-                    d -= 1
-                    continue
-                row = succ[qs[d]]
-                rest = m - d - 1
-                i, n = nxt[d], len(row)
-                while i < n and not counts[row[i][1]][rest]:
-                    i += 1
-                if i == n:
-                    nxt[d] = 0
-                    d -= 1
-                    continue
-                a, q = row[i]
-                nxt[d] = i + 1
-                buf[d] = a
-                qs[d + 1] = q
-                cs[d + 1] = step[(cs[d], a)]
-                d += 1
             zeros = 0
             while True:
                 m += 1
@@ -184,10 +201,33 @@ class NumerationSystem:
                 zeros += 1
                 if zeros > len(self.language.states):
                     return
-            buf, qs, cs, nxt, d = [None] * m, [root] + [None] * m, [carried] + [None] * m, [0] * m, 0
-            if word is not None:  # enter the first tree along the word, not its least word
-                q = root
-                for j, a in enumerate(word):
-                    nxt[j] = [b for b, _q in succ[q]].index(a)
-                    q = self.language.trans[(q, a)]
+            near, buf = {}, [None] * m
+            if not m:
                 word = None
+                yield buf, carried
+                continue
+            row = kids.get((root, m)) or branches(root, m)
+            if word is not None:  # enter the first tree along the word, not its least word
+                row = row[[k[0][0] for k in row].index(word[0]) :]
+            # per stacked node: its children left, its word position and carried state
+            stack = [(iter(row), 0, carried)]
+            while stack:
+                it, p, c0 = stack[-1]
+                for letters, q, r, ends in it:
+                    buf[p : m - r] = letters
+                    c = ends.get(c0)
+                    if c is None:  # not memoized yet (or None itself, then found again each time)
+                        c = c0
+                        for a in letters:
+                            c = step[(c, a)]
+                        ends[c0] = c
+                    if r:
+                        row = kids.get((q, r)) or branches(q, r)
+                        if word is not None:  # enter the first tree along the word, not its least word
+                            row = row[[k[0][0] for k in row].index(word[m - r]) :]
+                        stack.append((iter(row), m - r, c))
+                        break
+                    word = None
+                    yield buf, c
+                else:
+                    stack.pop()

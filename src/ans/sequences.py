@@ -40,8 +40,9 @@ SequenceStream = Iterator
 def _outputs(system: NumerationSystem, machine: Dfao, prefix: Word = ()) -> SequenceStream:
     """Outputs of `machine` on the accepted words `prefix` z, in shortlex order of z.
 
-    The walk carries the completed machine's state down the tree, so each
-    word costs the letters it does not share with the previous one.
+    The walk carries the completed machine's state down the tree and
+    across each one-child chain in one step, so on a*b* as on base 2 a
+    word costs amortized constant work (see ``NumerationSystem._walk``).
     """
     root = system.language.run(prefix)
     if root is None:
@@ -75,8 +76,9 @@ class AutomaticSequence:
         object.__setattr__(self, "output_alphabet", self.machine.output_alphabet)
 
     def term(self, n: int):
-        """The output at rank `n` (the machine run on the n-th word)."""
-        return self.machine.transform(self.system.rep(n))
+        """The output at rank `n` (the machine run on the n-th word), ``⊥`` where the run dies."""
+        q = self.machine.run(self.system.rep(n))
+        return BOTTOM if q is None else self.machine.output[q]
 
     def stream(self) -> SequenceStream:
         return sequence(self.system, self.machine)

@@ -10,7 +10,7 @@ import pytest
 import ans
 import ans.cli as cli
 from ans import fileformat as ff
-from conftest import GOLDEN_50, ab_star_dfa, teaching_dfao, witness_morphism
+from conftest import AB, GOLDEN_50, ab_star_dfa, teaching_dfao, witness_morphism
 
 
 @pytest.fixture
@@ -174,6 +174,19 @@ def test_kernel_to_dfao(files, capsys, tmp_path):
     capsys.readouterr()
     out = run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(learned), "--count", "50"])
     assert out.strip() == GOLDEN_50
+
+
+def test_kernel_to_dfao_partial_machine(files, capsys, tmp_path):
+    # no move on b after an odd number of a's: those terms are ⊥, and the learner reproduces them
+    machine, learned = tmp_path / "partial.dfao", tmp_path / "learned.dfao"
+    trans = {("x", "a"): "y", ("y", "a"): "x", ("x", "b"): "x"}
+    machine.write_text(ff.format_dfao(ans.Dfao(AB, ("x", "y"), "x", trans, {"x": "0", "y": "1"}, ("0", "1"))))
+    argv = ["kernel-to-dfao", "-s", files["lang"], "-m", str(machine), "--bound", "14", "-o", str(learned)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    want = run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(machine), "--count", "50"])
+    assert want.startswith("0100⊥010⊥00⊥")
+    assert run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(learned), "--count", "50"]) == want
 
 
 def test_kernel_to_dfao_bound_exceeded(files, capsys):

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +133,42 @@ def test_words_from_inner_state(ab_system):
     # continuations from the b-only state
     words = list(islice(ab_system.words_from("q"), 4))
     assert words == [(), ("b",), ("b", "b"), ("b", "b", "b")]
+
+
+class CountingMap(dict):
+    """A transition map that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_walk_carries_constant_work_per_word(ab_system):
+    # over a*b* a word ends in a run of b's about half its length; the walk
+    # crosses such one-child chains at once, memoizing the carried state
+    lang = ab_system.language
+    step = CountingMap(lang.trans)
+    count = sum(1 for _ in islice(ab_system._walk(lang.start, step, lang.start), 8_000))
+    assert count == 8_000
+    assert step.lookups <= 4 * count
+
+
+def test_walk_keeps_no_chains_that_later_trees_never_meet():
+    # a* + b*: the root's two children are chains as long as the word; each
+    # pair is met in one tree only, so keeping them would take memory
+    # quadratic in the length
+    d = Dfa(AB, ("s", "x", "y"), "s", frozenset({"s", "x", "y"}),
+            {("s", "a"): "x", ("x", "a"): "x", ("s", "b"): "y", ("y", "b"): "y"})
+    system = NumerationSystem(d)
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in islice(system.enumerate(), 1_000)) == 1_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_words_from_handles_finite_continuations():

@@ -2,17 +2,39 @@
 
 Random infinite languages (at most 5 states, 3 letters, trimmed by the
 numeration system) and random partial output machines, with fixed
-hypothesis seeds.  The oracle lists words without the count tables: every
-word the automaton can read, one length at a time, each length in
+hypothesis seeds, plus fixed systems whose walks meet one-child chains in
+every way they can: long runs of b's, a root with a single live child, a
+tree that is one chain.  The oracle lists words without the count tables:
+every word the automaton can read, one length at a time, each length in
 lexicographic order, keeping the accepted ones.  A term is the machine's
 output at the end of the word's run, or ``⊥`` where the run dies.
 """
 
+import pytest
 from hypothesis import given, seed, strategies as st
 
-from ans import BOTTOM, canonical_substitution, take
+from ans import (
+    AutomaticSequence,
+    Dfa,
+    Dfao,
+    NumerationSystem,
+    OrderedAlphabet,
+    canonical_substitution,
+    dfao_from_kernel,
+    sequence,
+    take,
+)
 
-from test_automaton_core import CORE, out, sequences
+from conftest import (
+    AB,
+    ab_star_dfa,
+    binary_like_dfa,
+    squares_chi_dfao,
+    squares_dfa,
+    teaching_dfao,
+    thue_morse_dfao,
+)
+from test_automaton_core import CORE, least_words, out, sequences
 
 N = 40
 
@@ -26,40 +48,90 @@ def brute_words(lang, root, count):
     return words[:count]
 
 
-def term_or_bottom(u, n):
-    try:
-        return u.term(n)
-    except ValueError:
-        return BOTTOM
+def check_terms(u, count):
+    lang, mach = u.system.language, u.machine
+    want = tuple(out(mach, mach.run(w)) for w in brute_words(lang, lang.start, count))
+    assert take(u.stream(), count) == want
+    assert tuple(u.term(n) for n in range(count)) == want
+    assert take(canonical_substitution(lang, mach).generate(), count) == want
+
+
+def check_enumerate(system, k, count):
+    words = brute_words(system.language, system.language.start, count)
+    assert take(system.enumerate(k), count - k) == tuple(words[k:])
+    for n, w in enumerate(words):
+        assert system.rep(n) == w
+        assert system.val(system.rep(n)) == n
+
+
+def check_words_from(system, count):
+    for q in system.language.states:
+        assert take(system.words_from(q), count) == tuple(brute_words(system.language, q, count))
 
 
 @seed(41)
 @CORE
 @given(sequences())
 def test_stream_term_and_substitution_agree_with_brute_force(u):
-    lang, mach = u.system.language, u.machine
-    want = tuple(out(mach, mach.run(w)) for w in brute_words(lang, lang.start, N))
-    assert take(u.stream(), N) == want
-    assert tuple(term_or_bottom(u, n) for n in range(N)) == want
-    assert take(canonical_substitution(lang, mach).generate(), N) == want
+    check_terms(u, N)
 
 
 @seed(42)
 @CORE
 @given(sequences(), st.integers(0, N - 1))
 def test_enumerate_rep_and_val_agree_with_brute_force(u, k):
-    system = u.system
-    words = brute_words(system.language, system.language.start, N)
-    assert take(system.enumerate(k), N - k) == tuple(words[k:])
-    for n, w in enumerate(words):
-        assert system.rep(n) == w
-        assert system.val(system.rep(n)) == n
+    check_enumerate(u.system, k, N)
 
 
 @seed(43)
 @CORE
 @given(sequences())
 def test_words_from_every_state_agree_with_brute_force(u):
-    system = u.system
-    for q in system.language.states:
-        assert take(system.words_from(q), N) == tuple(brute_words(system.language, q, N))
+    check_words_from(u.system, N)
+
+
+@seed(44)
+@CORE
+@given(sequences())
+def test_kernel_relearn_reproduces_the_stream_up_to_its_bound(u):
+    # prefixes in one (language state, machine state) pair have one suffix
+    # subsequence, so that many classes always suffice
+    bound = len(least_words((u.system.language, u.machine)))
+    learned = dfao_from_kernel(u.term, u.system, bound)
+    assert take(sequence(u.system, learned), bound) == take(u.stream(), bound)
+
+
+# -- fixed systems with one-child chains ---------------------------------------------
+
+UNARY = OrderedAlphabet(("a",))
+A_STAR = Dfa(UNARY, ("p",), "p", frozenset({"p"}), {("p", "a"): "p"})
+NO_B_AFTER_ODD_A = Dfao(  # partial: the run dies on b after an odd number of a's
+    AB, ("x", "y"), "x", {("x", "a"): "y", ("y", "a"): "x", ("x", "b"): "x"}, {"x": "0", "y": "1"}, ("0", "1")
+)
+A_MOD = Dfao(
+    UNARY, ("x", "y", "z"), "x", {("x", "a"): "y", ("y", "a"): "z", ("z", "a"): "y"},
+    {"x": "0", "y": "1", "z": "2"}, ("0", "1", "2"),
+)
+
+CHAINS = {
+    # a run of b's closes every word: chains of up to ~20 letters by rank 200
+    "ab-star-teaching": (ab_star_dfa(), teaching_dfao()),
+    "ab-star-partial": (ab_star_dfa(), NO_B_AFTER_ODD_A),
+    # the root reads only 1, then every node branches
+    "base-2": (binary_like_dfa(), thue_morse_dfao()),
+    # one word per length: every tree is one chain from the root
+    "one-letter": (A_STAR, A_MOD),
+    # the a's after a marker are one chain
+    "squares": (squares_dfa(), squares_chi_dfao()),
+}
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_fixed_systems_agree_with_brute_force(name):
+    u = AutomaticSequence(NumerationSystem(CHAINS[name][0]), CHAINS[name][1])
+    check_terms(u, 200)
+    # over a*b*, rep(0) is the empty word and rep(26) = abbbbb ends in a five-letter chain
+    for k in (0, 1, 5, 26, 57):
+        check_enumerate(u.system, k, 120)
+    # from a*b*'s state q, every tree is one chain of b's
+    check_words_from(u.system, 60)
