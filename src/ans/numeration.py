@@ -186,7 +186,7 @@ class NumerationSystem:
                             break
                         letters.append(b)
                         q2, r2 = q3, r2 - 1
-                    # (letters, end state, end remaining length, carried state at the end by state at the start)
+                    # (letters, end state, end remaining length, carried state at the end by start state)
                     row.append((tuple(letters), q2, r2, {}))
             return row
 
