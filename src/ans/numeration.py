@@ -10,8 +10,9 @@ state q are filled lazily and memoized.  rep and val read them along one
 word; every shortlex listing (words, machine sequences, kernel subsequences,
 ``Substitution.generate``) is one depth-first walk, ``_walk``, that enters
 only subtrees with a nonzero count and crosses each run of one-child nodes
-in one step.  Instances never mutate their public state; concurrent readers
-either tolerate the appends the cache performs or synchronize externally.
+in one step; only the listings that return words build them.  Instances
+never mutate their public state; concurrent readers either tolerate the
+appends the cache performs or synchronize externally.
 """
 
 from __future__ import annotations
@@ -129,16 +130,31 @@ class NumerationSystem:
 
     def enumerate(self, start_rank: int = 0) -> Iterator[Word]:
         """Lazily yield accepted words in shortlex order from a given rank."""
-        start = self.language.start
-        for word, _ in self._walk(start, self.language.trans, start, self.rep(start_rank)):
-            yield tuple(word)
+        return self._words(self.language.start, start_rank)
 
     def words_from(self, state) -> Iterator[Word]:
         """Shortlex stream of accepted words readable from `state`."""
-        for word, _ in self._walk(state, self.language.trans, state):
-            yield tuple(word)
+        return self._words(state)
 
-    def _walk(self, root, step: dict, carried, word=None) -> Iterator[tuple[list, object]]:
+    def _words(self, root, start_rank=None) -> Iterator[Word]:
+        """The walk's words, from `start_rank` if given (`root` is then the start)."""
+        word = None if start_rank is None else self.rep(start_rank)
+        levels, prefixes = [None], [()]  # by stack depth: the level last met there, and its prefix
+        for stack, letters, _ in self._walk(root, self.language.trans, root, word):
+            d = len(stack)
+            if d >= len(levels):
+                levels, prefixes = levels + [None] * d, prefixes + [None] * d
+            if levels[d] is not stack[-1]:  # a level's prefix is built once, when it first reaches a leaf
+                i = d - 1
+                while i and levels[i] is not stack[i - 1]:  # the stack changes only at its top
+                    i -= 1
+                while i < d:
+                    i += 1
+                    levels[i] = stack[i - 1]
+                    prefixes[i] = prefixes[i - 1] + levels[i][1]
+            yield prefixes[d] + letters
+
+    def _walk(self, root, step: dict, carried, word=None) -> Iterator[tuple[list, tuple, object]]:
         """Depth-first shortlex walk over the words accepted from `root`.
 
         Nodes are (state, remaining length) pairs, one tree per length; a
@@ -151,12 +167,12 @@ class NumerationSystem:
         entered at `carried` and defined on every letter the walk reads;
         the state at a chain's end is memoized per state at its start.  So
         where the words of length m grow at least linearly in m, a word
-        costs amortized constant work plus one slice copy of its chain into
-        the buffer.  Each leaf yields that buffer (reused: copy it to keep
-        it) and the carried state.  The walk starts at `word`, an accepted
-        word, or else at the least word.  Accepted lengths from a live state
-        are at most #states apart, so #states + 1 empty lengths in a row end
-        it.
+        costs amortized constant work.  Each leaf yields the stack (whose
+        levels hold the chains that reached them), its own chain and the
+        carried state; no word is written out (see ``_words``).  The walk
+        starts at `word`, an accepted word, or else at the least word.
+        Accepted lengths from a live state are at most #states apart, so
+        #states + 1 empty lengths in a row end it.
         """
         counts, succ = self._counts, self._succ
 
@@ -201,20 +217,19 @@ class NumerationSystem:
                 zeros += 1
                 if zeros > len(self.language.states):
                     return
-            near, buf = {}, [None] * m
+            near = {}
             if not m:
                 word = None
-                yield buf, carried
+                yield [(None, (), carried)], (), carried  # the empty word, under a root with no children
                 continue
             row = kids.get((root, m)) or branches(root, m)
             if word is not None:  # enter the first tree along the word, not its least word
                 row = row[[k[0][0] for k in row].index(word[0]) :]
-            # per stacked node: its children left, its word position and carried state
-            stack = [(iter(row), 0, carried)]
+            # per stacked node: its children left, the chain that reached it and its carried state
+            stack = [(iter(row), (), carried)]
             while stack:
-                it, p, c0 = stack[-1]
+                it, _, c0 = stack[-1]
                 for letters, q, r, ends in it:
-                    buf[p : m - r] = letters
                     c = ends.get(c0)
                     if c is None:  # not memoized yet (or None itself, then found again each time)
                         c = c0
@@ -225,9 +240,9 @@ class NumerationSystem:
                         row = kids.get((q, r)) or branches(q, r)
                         if word is not None:  # enter the first tree along the word, not its least word
                             row = row[[k[0][0] for k in row].index(word[m - r]) :]
-                        stack.append((iter(row), m - r, c))
+                        stack.append((iter(row), letters, c))
                         break
                     word = None
-                    yield buf, c
+                    yield stack, letters, c
                 else:
                     stack.pop()

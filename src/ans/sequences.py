@@ -16,6 +16,7 @@ ways between three presentations of such a sequence:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -37,25 +38,24 @@ from .numeration import NumerationSystem
 SequenceStream = Iterator
 
 
-def _outputs(system: NumerationSystem, machine: Dfao, prefix: Word = ()) -> SequenceStream:
-    """Outputs of `machine` on the accepted words `prefix` z, in shortlex order of z.
+def _outputs(system: NumerationSystem, complete: Dfao, prefix: Word = ()) -> SequenceStream:
+    """Outputs of a complete machine on the accepted words `prefix` z, in shortlex order of z.
 
-    The walk carries the completed machine's state down the tree and
-    across each one-child chain in one step, so on a*b* as on base 2 a
-    word costs amortized constant work (see ``NumerationSystem._walk``).
+    The walk carries the machine's state down the tree and across each
+    one-child chain in one step, and no word is built, so on a*b* as on
+    base 2 a term costs amortized constant work (``NumerationSystem._walk``).
     """
     root = system.language.run(prefix)
     if root is None:
         return iter(())
-    m = machine if machine.is_complete() else machine.completed()
-    out = m.output
-    return (out[c] for _, c in system._walk(root, m.trans, m.run(prefix)))
+    out = complete.output
+    return (out[c] for _, _, c in system._walk(root, complete.trans, complete.run(prefix)))
 
 
 def sequence(system: NumerationSystem, machine: Dfao) -> SequenceStream:
     """Lazily yield the sequence of machine outputs over all ranks 0, 1, 2, …"""
     _require_same_alphabet(system, machine)
-    return _outputs(system, machine)
+    return _outputs(system, machine.completed())
 
 
 def take(stream: Iterable, n: int) -> tuple:
@@ -80,8 +80,13 @@ class AutomaticSequence:
         q = self.machine.run(self.system.rep(n))
         return BOTTOM if q is None else self.machine.output[q]
 
+    @cached_property
+    def _complete(self) -> Dfao:
+        """The machine completed once, for every walk of this sequence."""
+        return self.machine.completed()
+
     def stream(self) -> SequenceStream:
-        return sequence(self.system, self.machine)
+        return _outputs(self.system, self._complete)
 
     def prefix(self, n: int) -> tuple:
         return take(self.stream(), n)
@@ -182,7 +187,7 @@ def subsequence(u: AutomaticSequence, k: KernelClass) -> SequenceStream:
     Continuations are enumerated shortlex; the stream is finite or empty
     when the prefix admits few or no accepted extensions.
     """
-    return _outputs(u.system, u.machine, k.representative_prefix)
+    return _outputs(u.system, u._complete, k.representative_prefix)
 
 
 def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, bound: int) -> Dfao:
@@ -234,13 +239,7 @@ def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, 
     out = {}
     for i, sig in enumerate(sigs):
         out[states[i]] = sig[0][1] if sig and sig[0][0] == () else BOTTOM
-    used = []
-    for q in states:
-        if out[q] not in used:
-            used.append(out[q])
-    if BOTTOM in used:
-        used.remove(BOTTOM)
-        used.append(BOTTOM)
+    used = sorted(dict.fromkeys(out.values()), key=lambda d: d == BOTTOM)  # first appearance, ⊥ last
     machine = Dfao(
         system.alphabet,
         states,

@@ -140,7 +140,7 @@ class Substitution:
         h = self.coding.images
         yield from h[self.seed]
         lang = self._system.language
-        for _, x in self._system._walk(lang.start, lang.trans, lang.start):
+        for _, _, x in self._system._walk(lang.start, lang.trans, lang.start):
             yield h[x][0]
 
 

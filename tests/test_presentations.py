@@ -10,6 +10,8 @@ lexicographic order, keeping the accepted ones.  A term is the machine's
 output at the end of the word's run, or ``⊥`` where the run dies.
 """
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, seed, strategies as st
 
@@ -17,11 +19,16 @@ from ans import (
     AutomaticSequence,
     Dfa,
     Dfao,
+    Morphism,
     NumerationSystem,
     OrderedAlphabet,
+    Substitution,
     canonical_substitution,
     dfao_from_kernel,
+    fixed_point,
+    kernel,
     sequence,
+    subsequence,
     take,
 )
 
@@ -101,6 +108,53 @@ def test_kernel_relearn_reproduces_the_stream_up_to_its_bound(u):
     assert take(sequence(u.system, learned), bound) == take(u.stream(), bound)
 
 
+@seed(45)
+@CORE
+@given(sequences())
+def test_every_kernel_subsequence_agrees_with_brute_force(u):
+    lang, mach = u.system.language, u.machine
+    for k in kernel(u):
+        w = k.representative_prefix
+        root = lang.run(w)
+        words = [] if root is None else brute_words(lang, root, N)
+        assert take(subsequence(u, k), N) == tuple(out(mach, mach.run(w + z)) for z in words)
+
+
+@st.composite
+def substitutions(draw):
+    """A random morphism prolongable on 0, where letters may not grow, and a weak coding that may erase."""
+    letters = tuple(range(draw(st.integers(1, 4))))
+    images = {x: draw(st.lists(st.sampled_from(letters), max_size=3)) for x in letters}
+    images[0] = [0, *draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3))]
+    coding = {x: draw(st.lists(st.sampled_from("xy"), max_size=1)) for x in letters}
+    sigma = OrderedAlphabet(letters)
+    return Morphism(sigma, sigma, images), Morphism(sigma, OrderedAlphabet(("x", "y")), coding)
+
+
+def coded_word_is_infinite(phi, h):
+    """Whether h(phi^omega(0)) is infinite.  phi^omega(0) = 0 t phi(t) phi^2(t) ...; the
+    sets of letters in phi^k(t) repeat with a period, and the word is infinite exactly when
+    a set in that period holds a letter that h keeps."""
+    level, seen = frozenset(phi.images[0][1:]), []
+    while level not in seen:
+        seen.append(level)
+        level = frozenset(y for x in level for y in phi.images[x])
+    return any(h.images[x] for s in seen[seen.index(level) :] for x in s)
+
+
+@seed(46)
+@CORE
+@given(substitutions())
+def test_generate_agrees_with_the_coded_fixed_point(case):
+    phi, h = case
+    if not coded_word_is_infinite(phi, h):
+        with pytest.raises(ValueError):
+            Substitution(phi, h, 0)
+        return
+    want = tuple(y for x in islice(fixed_point(phi, 0), 3_000) for y in h.images[x])[:N]
+    assert take(Substitution(phi, h, 0).generate(), len(want)) == want
+
+
 # -- fixed systems with one-child chains ---------------------------------------------
 
 UNARY = OrderedAlphabet(("a",))
@@ -135,3 +189,32 @@ def test_fixed_systems_agree_with_brute_force(name):
         check_enumerate(u.system, k, 120)
     # from a*b*'s state q, every tree is one chain of b's
     check_words_from(u.system, 60)
+
+
+@pytest.mark.parametrize("make", [ab_star_dfa, binary_like_dfa])
+def test_deep_enumerate_and_words_from_agree_with_brute_force(make):
+    # ranks 1,000 to 2,000 stack dozens of levels over a*b*; from a*b*'s
+    # state q the words run to 1,000 letters
+    system = NumerationSystem(make())
+    lang = system.language
+    assert take(system.enumerate(1_000), 1_000) == tuple(brute_words(lang, lang.start, 2_000)[1_000:])
+    for q in lang.states:
+        assert take(system.words_from(q), 1_000) == tuple(brute_words(lang, q, 1_000))
+
+
+def test_kernel_and_its_subsequences_complete_the_machine_once(monkeypatch):
+    u = AutomaticSequence(NumerationSystem(ab_star_dfa()), NO_B_AFTER_ODD_A)
+    completed, receivers = Dfao.completed, []
+
+    def counted(self, *args):
+        receivers.append(self)
+        return completed(self, *args)
+
+    monkeypatch.setattr(Dfao, "completed", counted)
+    classes = kernel(u)
+    assert len(classes) > 2
+    for k in classes:
+        take(subsequence(u, k), 20)
+    take(u.stream(), 20)
+    # kernel completes machines of its own; the sequence's machine is completed once
+    assert sum(m is u.machine for m in receivers) <= 1
