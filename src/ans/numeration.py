@@ -10,9 +10,8 @@ state q are filled lazily and memoized.  rep and val read them along one
 word; every shortlex listing (words, machine sequences, kernel subsequences,
 ``Substitution.generate``) is one depth-first walk, ``_walk``, that enters
 only subtrees with a nonzero count and crosses each run of one-child nodes
-in one step; only the listings that return words build them.  Instances
-never mutate their public state; concurrent readers either tolerate the
-appends the cache performs or synchronize externally.
+in one step.  Instances never mutate their public state; concurrent readers
+either tolerate the appends the cache performs or synchronize externally.
 """
 
 from __future__ import annotations
@@ -139,20 +138,21 @@ class NumerationSystem:
     def _words(self, root, start_rank=None) -> Iterator[Word]:
         """The walk's words, from `start_rank` if given (`root` is then the start)."""
         word = None if start_rank is None else self.rep(start_rank)
-        levels, prefixes = [None], [()]  # by stack depth: the level last met there, and its prefix
+        levels, buf, top = [None, None], [], None  # by stack depth, the last level met; the word
         for stack, letters, _ in self._walk(root, self.language.trans, root, word):
-            d = len(stack)
-            if d >= len(levels):
-                levels, prefixes = levels + [None] * d, prefixes + [None] * d
-            if levels[d] is not stack[-1]:  # a level's prefix is built once, when it first reaches a leaf
-                i = d - 1
+            if stack[-1] is not top:  # a new top: write the chains of the newly stacked levels
+                if stack[0] is not levels[1]:  # a new tree: m-letter words under at most m + 1 levels
+                    m = sum(len(level[1]) for level in stack) + len(letters)
+                    buf, levels = [None] * m, [None] * (m + 2)
+                top, i = stack[-1], len(stack)
+                p = e = m - len(letters)  # its leaves' chains start at p; its levels end there
                 while i and levels[i] is not stack[i - 1]:  # the stack changes only at its top
+                    level = levels[i] = stack[i - 1]
+                    buf[e - len(level[1]) : e] = level[1]
+                    e -= len(level[1])
                     i -= 1
-                while i < d:
-                    i += 1
-                    levels[i] = stack[i - 1]
-                    prefixes[i] = prefixes[i - 1] + levels[i][1]
-            yield prefixes[d] + letters
+            buf[p:] = letters
+            yield tuple(buf)
 
     def _walk(self, root, step: dict, carried, word=None) -> Iterator[tuple[list, tuple, object]]:
         """Depth-first shortlex walk over the words accepted from `root`.
@@ -167,12 +167,11 @@ class NumerationSystem:
         entered at `carried` and defined on every letter the walk reads;
         the state at a chain's end is memoized per state at its start.  So
         where the words of length m grow at least linearly in m, a word
-        costs amortized constant work.  Each leaf yields the stack (whose
-        levels hold the chains that reached them), its own chain and the
-        carried state; no word is written out (see ``_words``).  The walk
-        starts at `word`, an accepted word, or else at the least word.
-        Accepted lengths from a live state are at most #states apart, so
-        #states + 1 empty lengths in a row end it.
+        costs amortized constant work.  Each leaf yields the stack, whose
+        levels hold the chains that reached them, its own chain and the
+        carried state.  The walk starts at `word`, an accepted word, or else
+        at the least word.  Accepted lengths from a live state are at most
+        #states apart, so #states + 1 empty lengths in a row end it.
         """
         counts, succ = self._counts, self._succ
 

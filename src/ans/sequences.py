@@ -16,7 +16,6 @@ ways between three presentations of such a sequence:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -70,20 +69,17 @@ class AutomaticSequence:
     system: NumerationSystem
     machine: Dfao
     output_alphabet: tuple = field(init=False)
+    _complete: Dfao = field(init=False, repr=False, compare=False)  # completed once, for every walk
 
     def __post_init__(self):
         _require_same_alphabet(self.system, self.machine)
         object.__setattr__(self, "output_alphabet", self.machine.output_alphabet)
+        object.__setattr__(self, "_complete", self.machine.completed())
 
     def term(self, n: int):
         """The output at rank `n` (the machine run on the n-th word), ``⊥`` where the run dies."""
         q = self.machine.run(self.system.rep(n))
         return BOTTOM if q is None else self.machine.output[q]
-
-    @cached_property
-    def _complete(self) -> Dfao:
-        """The machine completed once, for every walk of this sequence."""
-        return self.machine.completed()
 
     def stream(self) -> SequenceStream:
         return _outputs(self.system, self._complete)
@@ -239,7 +235,13 @@ def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, 
     out = {}
     for i, sig in enumerate(sigs):
         out[states[i]] = sig[0][1] if sig and sig[0][0] == () else BOTTOM
-    used = sorted(dict.fromkeys(out.values()), key=lambda d: d == BOTTOM)  # first appearance, ⊥ last
+    used = []
+    for q in states:
+        if out[q] not in used:
+            used.append(out[q])
+    if BOTTOM in used:
+        used.remove(BOTTOM)
+        used.append(BOTTOM)
     machine = Dfao(
         system.alphabet,
         states,

@@ -191,3 +191,25 @@ def test_words_from_handles_finite_continuations():
 def test_roundtrip_at_arbitrary_magnitude(n):
     system = NumerationSystem(binary_like_dfa())
     assert system.val(system.rep(n)) == n
+
+
+def _peak(stream, n):
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in islice(stream, n)) == n
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "make, word", [(ab_star_dfa, "a" * 800), (binary_like_dfa, "1" + "0" * 3_000)], ids=["ab-star", "base-2"]
+)
+def test_deep_start_builds_words_in_memory_linear_in_their_length(make, word):
+    # from rep(k) = word the walk stacks a level per letter; a prefix tuple
+    # per level would hold about m²/2 letters beyond what the walk holds
+    # (2.6 MB over a*b*, 36 MB over base 2)
+    system = NumerationSystem(make())
+    lang, k = system.language, system.val(tuple(word))
+    walk = system._walk(lang.start, lang.trans, lang.start, system.rep(k))
+    assert _peak(system.enumerate(k), 3) - _peak(walk, 3) < 1_000_000
