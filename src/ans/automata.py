@@ -396,36 +396,29 @@ def is_empty(a: Dfa) -> bool:
 
 
 def is_infinite(a: Dfa) -> bool:
-    """True iff `a` accepts infinitely many words (cycle in the trimmed part)."""
+    """True iff `a` accepts infinitely many words (cycle in the trimmed part).
+
+    Peeling off states with no incoming transitions left, over and over,
+    removes exactly the states on no cycle and reached from none.
+    """
     t = a.trimmed()
     if is_empty(t):
         return False
-    # iterative depth-first search for a cycle among live states
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {q: WHITE for q in t.states}
-    for root in t.states:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(t.alphabet))]
-        color[root] = GREY
-        while stack:
-            q, it = stack[-1]
-            advanced = False
-            for s in it:
-                q2 = t.trans.get((q, s))
-                if q2 is None:
-                    continue
-                if color[q2] == GREY:
-                    return True
-                if color[q2] == WHITE:
-                    color[q2] = GREY
-                    stack.append((q2, iter(t.alphabet)))
-                    advanced = True
-                    break
-            if not advanced:
-                color[q] = BLACK
-                stack.pop()
-    return False
+    indegree = dict.fromkeys(t.states, 0)
+    for q2 in t.trans.values():
+        indegree[q2] += 1
+    free = [q for q in t.states if not indegree[q]]
+    left = len(t.states)
+    while free:
+        q = free.pop()
+        left -= 1
+        for s in t.alphabet:
+            q2 = t.trans.get((q, s))
+            if q2 is not None:
+                indegree[q2] -= 1
+                if not indegree[q2]:
+                    free.append(q2)
+    return left > 0
 
 
 def distinguishing_word(a: Dfa, b: Dfa) -> Word | None:

@@ -17,8 +17,9 @@ import os
 import sys
 
 from . import fileformat as ff
-from .automata import Dfa, Dfao, OrderedAlphabet, distinguishing_word, equivalent, minimize, reduce_dfao
+from .automata import BOTTOM, Dfa, Dfao, OrderedAlphabet, distinguishing_word, equivalent, minimize, reduce_dfao
 from .complexity import (
+    WITNESS_N_MAX,
     binomial_word,
     factor_count,
     quadratic_witness_check,
@@ -97,10 +98,7 @@ def _emit_json(obj):
 
 
 def _render_terms(terms) -> str:
-    parts = [str(t) for t in terms]
-    if parts and all(len(p) == 1 for p in parts):
-        return "".join(parts)
-    return " ".join(parts)
+    return ff.render_word(terms) if terms else ""
 
 
 def _styled(word: str, good: bool) -> str:
@@ -201,9 +199,8 @@ def cmd_kernel(args):
     print(f"classes: {len(classes)}")
     for k in classes:
         rep = ff.render_word(k.representative_prefix)
-        terms = take(subsequence(u, k), args.terms)
-        body = _render_terms(terms) if terms else "(empty)"
-        print(f"{k.class_id} {rep} {body}")
+        body = "(empty)" if k.empty else _render_terms(take(subsequence(u, k), args.terms))
+        print(f"{k.class_id} {rep} {body}".rstrip())
 
 
 def cmd_kernel_to_dfao(args):
@@ -214,6 +211,8 @@ def cmd_kernel_to_dfao(args):
 def cmd_gaps(args):
     u = _load_sequence(args)
     factor = _word_arg(args.factor, OrderedAlphabet(u.output_alphabet))
+    if not 0 < len(factor) <= args.count:
+        raise AnsError(f"--factor needs 1 to --count {args.count} symbols, got {len(factor)}")
     report = occurrence_gaps(u.stream(), factor, args.count)
     if args.json:
         _emit_json(
@@ -242,7 +241,13 @@ def cmd_from_morphism(args):
     symbols = None
     if args.symbols:
         symbols = args.symbols.split() if any(c.isspace() for c in args.symbols) else list(args.symbols)
-    system, machine = system_from_morphism(phi, axiom, symbols)
+        for s in symbols:  # symbols the file parser would refuse to read back
+            if s.startswith("@") or s == BOTTOM or "#" in s:
+                raise AnsError(f"--symbols: {s!r} is reserved or holds the comment mark '#'")
+    try:
+        system, machine = system_from_morphism(phi, axiom, symbols)
+    except ValueError as e:  # a wrong count or a repeated symbol
+        raise AnsError(f"--symbols: {e}") from e
     _check_writable(args.output, args.machine_out)
     _emit(args.output, ff.format_dfa(system.language))
     if args.machine_out:
@@ -269,6 +274,8 @@ def cmd_complexity(args):
 
 
 def cmd_witness_quadratic(args):
+    if args.prefix < WITNESS_N_MAX:
+        raise AnsError(f"--prefix {args.prefix} is below {WITNESS_N_MAX}, the longest block length profiled")
     report = quadratic_witness_check(args.prefix)
     if args.json:
         _emit_json(report.to_dict())

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from itertools import combinations, count, islice
+from itertools import combinations, count, groupby, islice
 from typing import Iterable, Iterator
 
 from .automata import OrderedAlphabet
@@ -134,6 +134,7 @@ _WITNESS = Morphism(
     OrderedAlphabet((0, 1, 2)),
     {0: (0, 1), 1: (1, 2), 2: (2,)},
 )
+WITNESS_N_MAX = 30  # the witness check profiles block lengths 1..30
 
 
 def _fit_exponent(values: tuple[int, ...], lo: int, hi: int) -> float:
@@ -150,13 +151,8 @@ def _fit_exponent(values: tuple[int, ...], lo: int, hi: int) -> float:
 
 def _longest_runs(prefix: list) -> dict:
     runs: dict = {}
-    i = 0
-    while i < len(prefix):
-        j = i
-        while j < len(prefix) and prefix[j] == prefix[i]:
-            j += 1
-        runs[prefix[i]] = max(runs.get(prefix[i], 0), j - i)
-        i = j
+    for x, run in groupby(prefix):
+        runs[x] = max(runs.get(x, 0), len(list(run)))
     return runs
 
 
@@ -213,7 +209,7 @@ def quadratic_witness_check(
     linear-growth morphism flips the exponent verdict, which is the point
     of reporting it.
     """
-    n_max = 30
+    n_max = WITNESS_N_MAX
     phi = _WITNESS if morphism is None else morphism
     if seed is None:
         seed = phi.domain.symbols[0]

@@ -155,26 +155,8 @@ def parse_dfao(text: str, path: str = "<dfao>") -> Dfao:
     return _parse_machine(text, path, with_output=True)
 
 
-def _state_names(machine) -> dict:
-    names = {}
-    for q in machine.states:
-        name = q if isinstance(q, str) else None
-        if (
-            name is None
-            or not name
-            or any(c.isspace() for c in name)
-            or name.startswith("@")
-            or name == BOTTOM
-        ):
-            return {q: f"q{i}" for i, q in enumerate(machine.states)}
-        names[q] = name
-    if len(set(names.values())) != len(names):
-        return {q: f"q{i}" for i, q in enumerate(machine.states)}
-    return names
-
-
 def _format_machine(machine, final_or_output_lines) -> str:
-    names = _state_names(machine)
+    names = _letter_names(machine.states, "q")
     lines = [
         "alphabet: " + " ".join(str(s) for s in machine.alphabet),
         "states: " + " ".join(names[q] for q in machine.states),
@@ -233,7 +215,7 @@ def _parse_morphism_lines(text: str, path: str):
     return axiom, phi_lines, h_lines
 
 
-def _build_morphism(phi_lines, path: str) -> Morphism:
+def _build_morphism(phi_lines, axiom, path: str) -> Morphism:
     letters = []
     images = {}
     for ln, lhs, rhs in phi_lines:
@@ -258,6 +240,10 @@ def _build_morphism(phi_lines, path: str) -> Morphism:
         for t in rhs:
             if t != EPS and t not in domain:
                 raise FormatError(path, ln, f"image letter {t!r} has no image line of its own")
+    if axiom is None:
+        raise FormatError(path, 0, "missing axiom line")
+    if axiom not in domain:
+        raise FormatError(path, 0, f"axiom {axiom!r} has no image line")
     alpha = OrderedAlphabet(tuple(letters))
     return Morphism(alpha, alpha, images)
 
@@ -267,22 +253,13 @@ def parse_morphism(text: str, path: str = "<morphism>") -> tuple[Morphism, str]:
     axiom, phi_lines, h_lines = _parse_morphism_lines(text, path)
     if h_lines:
         raise FormatError(path, h_lines[0][0], "plain morphism files cannot carry 'h:' lines")
-    m = _build_morphism(phi_lines, path)
-    if axiom is None:
-        raise FormatError(path, 0, "missing axiom line")
-    if axiom not in m.domain:
-        raise FormatError(path, 0, f"axiom {axiom!r} has no image line")
-    return m, axiom
+    return _build_morphism(phi_lines, axiom, path), axiom
 
 
 def parse_substitution(text: str, path: str = "<substitution>") -> Substitution:
     """Parse a morphism plus weak-coding 'h:' lines into a Substitution."""
     axiom, phi_lines, h_lines = _parse_morphism_lines(text, path)
-    phi = _build_morphism(phi_lines, path)
-    if axiom is None:
-        raise FormatError(path, 0, "missing axiom line")
-    if axiom not in phi.domain:
-        raise FormatError(path, 0, f"axiom {axiom!r} has no image line")
+    phi = _build_morphism(phi_lines, axiom, path)
     h_images = {}
     out_letters = []
     for ln, lhs, rhs in h_lines:
@@ -311,7 +288,7 @@ def parse_substitution(text: str, path: str = "<substitution>") -> Substitution:
     return Substitution(phi, h, axiom)
 
 
-def _letter_names(letters) -> dict:
+def _letter_names(letters, prefix: str) -> dict:
     plain = all(
         isinstance(x, str)
         and x
@@ -322,11 +299,11 @@ def _letter_names(letters) -> dict:
     )
     if plain:
         return {x: x for x in letters}
-    return {x: f"s{i}" for i, x in enumerate(letters)}
+    return {x: f"{prefix}{i}" for i, x in enumerate(letters)}
 
 
 def format_morphism(m: Morphism, axiom) -> str:
-    names = _letter_names(m.domain.symbols)
+    names = _letter_names(m.domain.symbols, "s")
     lines = []
     if any(names[x] != x for x in m.domain):
         for x in m.domain:
@@ -340,21 +317,12 @@ def format_morphism(m: Morphism, axiom) -> str:
 
 
 def format_substitution(t: Substitution) -> str:
-    names = _letter_names(t.phi.domain.symbols)
-    lines = []
-    if any(names[x] != x for x in t.phi.domain):
-        for x in t.phi.domain:
-            lines.append(f"# {names[x]} = {x!r}")
-    lines.append(f"axiom: {names[t.seed]}")
-    for x in t.phi.domain:
-        img = t.phi.images[x]
-        rhs = " ".join(names[y] for y in img) if img else EPS
-        lines.append(f"{names[x]} -> {rhs}")
+    names = _letter_names(t.phi.domain.symbols, "s")
+    lines = [format_morphism(t.phi, t.seed)]
     for x in t.phi.domain:
         img = t.coding.images[x]
-        rhs = str(img[0]) if img else EPS
-        lines.append(f"h: {names[x]} -> {rhs}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"h: {names[x]} -> {img[0] if img else EPS}\n")
+    return "".join(lines)
 
 
 # -- words ----------------------------------------------------------------

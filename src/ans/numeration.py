@@ -16,6 +16,7 @@ either tolerate the appends the cache performs or synchronize externally.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator
 
 from .automata import Dfa, OrderedAlphabet, Word, is_infinite
@@ -87,15 +88,7 @@ class NumerationSystem:
     def _length_of_rank(self, n: int) -> int:
         while self._cum[-1] <= n:
             self._ensure(self._filled + 1)
-        # binary search the cumulative table
-        lo, hi = 0, len(self._cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cum[mid] > n:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect_right(self._cum, n)
 
     def val(self, word) -> int:
         """Rank of an accepted word; raises NotInLanguageError otherwise."""
@@ -115,9 +108,8 @@ class NumerationSystem:
                 raise NotInLanguageError(
                     f"word leaves the language at position {i + 1} (no accepted continuation)"
                 )
-            idx = self.alphabet.index(a)
             for b, q2 in self._succ[q]:
-                if self.alphabet.index(b) >= idx:
+                if b == a:
                     break
                 rank += counts[q2][rest]
             q = nxt

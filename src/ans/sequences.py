@@ -53,8 +53,7 @@ def _outputs(system: NumerationSystem, complete: Dfao, prefix: Word = ()) -> Seq
 
 def sequence(system: NumerationSystem, machine: Dfao) -> SequenceStream:
     """Lazily yield the sequence of machine outputs over all ranks 0, 1, 2, …"""
-    _require_same_alphabet(system, machine)
-    return _outputs(system, machine.completed())
+    return AutomaticSequence(system, machine).stream()
 
 
 def take(stream: Iterable, n: int) -> tuple:

@@ -157,12 +157,7 @@ def state_morphism(machine) -> tuple[Morphism, Hashable]:
     """
     if not machine.is_complete():
         raise ValueError("a state morphism needs a complete transition table")
-    alpha = ALPHA_BASE
-    k = 0
-    existing = set(machine.states)
-    while alpha in existing:
-        alpha = f"{ALPHA_BASE}{k}"
-        k += 1
+    alpha = machine._fresh_state(ALPHA_BASE)
     letters = (alpha,) + tuple(machine.states)
     images = {alpha: (alpha, machine.start)}
     for q in machine.states:

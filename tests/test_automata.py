@@ -1,7 +1,8 @@
 import random
+from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, strategies as st
 
 from ans import (
     BOTTOM,
@@ -20,6 +21,7 @@ from ans import (
     union,
 )
 from conftest import AB, ab_star_dfa, binary_like_dfa, brute_words, teaching_dfao
+from test_automaton_core import CORE, dfas
 
 
 def ab_bplus_dfa():
@@ -131,6 +133,16 @@ def test_emptiness_and_infiniteness():
     assert is_infinite(ab_star_dfa())
     single = Dfa(AB, ("p", "q"), "p", frozenset({"q"}), {("p", "a"): "q"})
     assert not is_infinite(single)
+
+
+@seed(37)
+@CORE
+@given(dfas())
+def test_is_infinite_agrees_with_brute_force(a):
+    # with n states, L is infinite iff it holds a word of length n to 2n - 1 (pumping)
+    n = len(a.states)
+    lengths = range(n, 2 * n)
+    assert is_infinite(a) == any(a.accepts(w) for k in lengths for w in iproduct(a.alphabet, repeat=k))
 
 
 def test_equivalence_and_witnesses():

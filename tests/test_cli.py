@@ -240,6 +240,50 @@ def test_from_morphism_flow(files, capsys, tmp_path):
     assert run_ok(capsys, ["equiv", str(lang_out), str(expect)]).strip() == "equivalent"
 
 
+@pytest.mark.parametrize("symbols", ["a", "abc", "a a", "@x y", "⊥ y", "# y", "a#b y", "@eps y"])
+def test_from_morphism_refuses_symbols_it_could_not_read_back(files, capsys, symbols):
+    # the witness morphism's widest image has 2 letters: a wrong count, a repeat,
+    # a reserved name or a comment mark exits 2 before any file is written
+    lang_out, mach_out = files["dir"] / "w.dfa", files["dir"] / "w.dfao"
+    argv = ["from-morphism", files["morphism"], "-o", str(lang_out), "--machine-out", str(mach_out)]
+    assert cli.main(argv + ["--symbols", symbols]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --symbols: ")
+    assert not lang_out.exists() and not mach_out.exists()
+
+
+def test_from_morphism_symbols_read_back(files, capsys):
+    lang_out, mach_out = files["dir"] / "w.dfa", files["dir"] / "w.dfao"
+    argv = ["from-morphism", files["morphism"], "-o", str(lang_out), "--machine-out", str(mach_out)]
+    assert cli.main(argv + ["--symbols", "x: y"]) == 0
+    assert run_ok(capsys, ["rep", "-s", str(lang_out), "3", "5"]).splitlines() == ["x: x:", "y x:"]
+    out = run_ok(capsys, ["seq", "-s", str(lang_out), "-m", str(mach_out), "--count", "6"])
+    assert [t.removeprefix("s") for t in out.split()] == list("001011")
+
+
+def test_gaps_factor_longer_than_count_or_empty_exits_2(files, capsys):
+    base = ["gaps", "-s", files["lang"], "-m", files["machine"]]
+    assert cli.main(base + ["--factor", "0000", "--count", "3"]) == 2
+    assert capsys.readouterr().err == "error: --factor needs 1 to --count 3 symbols, got 4\n"
+    assert cli.main(base + ["--factor", "@eps", "--count", "3"]) == 2
+    assert capsys.readouterr().err == "error: --factor needs 1 to --count 3 symbols, got 0\n"
+    assert run_ok(capsys, base + ["--factor", "000", "--count", "3"]).startswith("occurrences: 0\n")
+
+
+def test_witness_quadratic_prefix_below_profiled_lengths_exits_2(capsys):
+    assert cli.main(["witness-quadratic", "--prefix", "29"]) == 2
+    assert capsys.readouterr().err == "error: --prefix 29 is below 30, the longest block length profiled\n"
+    assert run_ok(capsys, ["witness-quadratic", "--prefix", "30"]).startswith("prefix: 30\n")
+
+
+def test_kernel_zero_terms_marks_only_empty_classes(files, capsys):
+    out = run_ok(capsys, ["kernel", "-s", files["lang"], "-m", files["machine"], "--terms", "0"])
+    lines = out.splitlines()
+    assert lines[0] == "classes: 9"
+    assert [line for line in lines[1:] if line.endswith("(empty)")] == ["5 ba (empty)"]
+    assert lines[1] == "0 @eps"
+
+
 def test_fixpoint(files, capsys):
     # integer letters were renamed s0 s1 s2 when the morphism was written out
     out = run_ok(capsys, ["fixpoint", files["morphism"], "--count", "16"])
