@@ -242,7 +242,7 @@ def cmd_from_morphism(args):
     if args.symbols:
         symbols = args.symbols.split() if any(c.isspace() for c in args.symbols) else list(args.symbols)
         for s in symbols:  # symbols the file parser would refuse to read back
-            if s.startswith("@") or s == BOTTOM or "#" in s:
+            if s == BOTTOM or not ff._readable(s):
                 raise AnsError(f"--symbols: {s!r} is reserved or holds the comment mark '#'")
     try:
         system, machine = system_from_morphism(phi, axiom, symbols)
@@ -395,7 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-to-dfao", help="relearn a machine from the sequence terms")
     _add_system(p, machine=True)
-    p.add_argument("--bound", type=_positive, required=True)
+    p.add_argument(
+        "--bound", type=_positive, required=True,
+        help="most prefix classes, and continuations compared per prefix; costs about (classes*|alphabet| + 1)*bound"
+        " + bound term calls, one listing per language state and one rank offset per prefix and continuation length",
+    )
     _add_output(p)
     p.set_defaults(func=cmd_kernel_to_dfao)
 

@@ -26,7 +26,7 @@ are reserved for machine-generated names.
 from __future__ import annotations
 
 from .automata import BOTTOM, Dfa, Dfao, OrderedAlphabet, Word
-from .errors import FormatError
+from .errors import AnsError, FormatError
 from .substitutions import Morphism, Substitution
 
 EPS = "@eps"
@@ -156,6 +156,7 @@ def parse_dfao(text: str, path: str = "<dfao>") -> Dfao:
 
 
 def _format_machine(machine, final_or_output_lines) -> str:
+    _require_readable(machine.alphabet, "alphabet letter")
     names = _letter_names(machine.states, "q")
     lines = [
         "alphabet: " + " ".join(str(s) for s in machine.alphabet),
@@ -180,6 +181,8 @@ def format_dfa(dfa: Dfa) -> str:
 
 
 def format_dfao(m: Dfao) -> str:
+    _require_readable((m.output[q] for q in m.states), "output symbol")
+
     def outputs(names):
         return [f"output: {names[q]} {m.output[q]}" for q in m.states]
 
@@ -288,16 +291,19 @@ def parse_substitution(text: str, path: str = "<substitution>") -> Substitution:
     return Substitution(phi, h, axiom)
 
 
+def _readable(x: str) -> bool:
+    """Whether the parser reads `x` back as one token: nonempty, no whitespace or '#', no leading '@'."""
+    return x != "" and not any(c.isspace() or c == "#" for c in x) and not x.startswith("@")
+
+
+def _require_readable(symbols, what: str):
+    for x in map(str, symbols):
+        if not _readable(x):
+            raise AnsError(f"{what} {x!r} cannot be written: the file parser would not read it back")
+
+
 def _letter_names(letters, prefix: str) -> dict:
-    plain = all(
-        isinstance(x, str)
-        and x
-        and not any(c.isspace() for c in x)
-        and not x.startswith("@")
-        and x != BOTTOM
-        for x in letters
-    )
-    if plain:
+    if all(isinstance(x, str) and _readable(x) and x != BOTTOM for x in letters):
         return {x: x for x in letters}
     return {x: f"{prefix}{i}" for i, x in enumerate(letters)}
 
@@ -317,6 +323,7 @@ def format_morphism(m: Morphism, axiom) -> str:
 
 
 def format_substitution(t: Substitution) -> str:
+    _require_readable((y for x in t.phi.domain for y in t.coding.images[x]), "coding letter")
     names = _letter_names(t.phi.domain.symbols, "s")
     lines = [format_morphism(t.phi, t.seed)]
     for x in t.phi.domain:

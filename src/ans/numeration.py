@@ -92,8 +92,17 @@ class NumerationSystem:
 
     def val(self, word) -> int:
         """Rank of an accepted word; raises NotInLanguageError otherwise."""
-        word = tuple(word)
-        length = len(word)
+        rank, q = self._least_rank(tuple(word), 0)
+        if q not in self.language.finals:
+            raise NotInLanguageError("word is a proper prefix of the language: it ends in a non-final state")
+        return rank
+
+    def _least_rank(self, word: Word, extra: int) -> tuple[int, object]:
+        """Rank of the least word of len(word) + extra letters starting with `word`, and run(word).
+
+        Such words are one run in shortlex order: `word` z ranks z's index among them past it.
+        """
+        length = len(word) + extra
         self._ensure(length)
         counts = self._counts
         lang = self.language
@@ -113,9 +122,7 @@ class NumerationSystem:
                     break
                 rank += counts[q2][rest]
             q = nxt
-        if q not in lang.finals:
-            raise NotInLanguageError("word is a proper prefix of the language: it ends in a non-final state")
-        return rank
+        return rank, q
 
     # -- enumeration ------------------------------------------------------
 

@@ -16,7 +16,7 @@ ways between three presentations of such a sequence:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .automata import (
@@ -196,25 +196,24 @@ def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, 
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    lang = system.language
+    lang, conts = system.language, {}
 
     def signature(w: Word) -> tuple:
         q = lang.run(w)
         if q is None:
             return ()
+        if q not in conts:  # q's first `bound` continuations, in runs of one length
+            conts[q] = [(n, tuple(zs)) for n, zs in groupby(islice(system.words_from(q), bound), len)]
         sig = []
-        for z in islice(system.words_from(q), bound):
-            sig.append((z, term(system.val(w + z))))
+        for n, zs in conts[q]:  # w z ranks z's index in its run past the least word w z' with |z'| = n
+            first = system._least_rank(w, n)[0]
+            sig += [(z, term(first + j)) for j, z in enumerate(zs)]
         return tuple(sig)
 
-    start_sig = signature(())
-    index = {start_sig: 0}
+    index = {signature(()): 0}  # class by signature, in order of discovery
     reps: list[Word] = [()]
-    sigs: list[tuple] = [start_sig]
     trans = {}
-    ci = 0
-    while ci < len(reps):
-        w = reps[ci]
+    for ci, w in enumerate(reps):  # breadth first: reps grows while it is read
         for s in system.alphabet:
             w2 = w + (s,)
             sig = signature(w2)
@@ -226,29 +225,12 @@ def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, 
                     )
                 index[sig] = len(reps)
                 reps.append(w2)
-                sigs.append(sig)
-            trans[(ci, s)] = index[sig]
-        ci += 1
+            trans[(f"q{ci}", s)] = f"q{index[sig]}"
 
     states = tuple(f"q{i}" for i in range(len(reps)))
-    out = {}
-    for i, sig in enumerate(sigs):
-        out[states[i]] = sig[0][1] if sig and sig[0][0] == () else BOTTOM
-    used = []
-    for q in states:
-        if out[q] not in used:
-            used.append(out[q])
-    if BOTTOM in used:
-        used.remove(BOTTOM)
-        used.append(BOTTOM)
-    machine = Dfao(
-        system.alphabet,
-        states,
-        states[0],
-        {(states[q], s): states[q2] for (q, s), q2 in trans.items()},
-        out,
-        tuple(used),
-    )
+    out = {q: sig[0][1] if sig and sig[0][0] == () else BOTTOM for q, sig in zip(states, index)}
+    used = tuple(sorted(dict.fromkeys(out.values()), key=lambda x: x == BOTTOM))  # first appearance, ⊥ last
+    machine = Dfao(system.alphabet, states, states[0], trans, out, used)
 
     for n, got in enumerate(take(sequence(system, machine), bound)):
         if got != term(n):

@@ -2,8 +2,13 @@ import pytest
 
 from ans import (
     BOTTOM,
+    AnsError,
+    Dfa,
+    Dfao,
     FormatError,
+    Morphism,
     OrderedAlphabet,
+    Substitution,
     canonical_substitution,
     equivalent,
     format_dfa,
@@ -49,6 +54,22 @@ def test_dfao_roundtrip_renames_tuple_states():
     m2 = parse_dfao(text)
     for w in [(), ("a",), ("b", "b"), ("a", "b", "a", "b", "a")]:
         assert m2.transform(w) == m.transform(w)
+
+
+def test_names_with_the_comment_mark_round_trip_or_are_refused():
+    # a state name holding '#' is written under a generated name
+    d = Dfa(AB, ("p", "p#1"), "p", frozenset({"p#1"}), {("p", "a"): "p#1", ("p#1", "b"): "p"})
+    assert "#" not in format_dfa(d)
+    assert parse_dfa(format_dfa(d)) == d.renumbered()
+    # letters and outputs are written verbatim, so one the parser cannot read back is refused
+    with pytest.raises(AnsError, match="alphabet letter 'a#'"):
+        format_dfa(Dfa(OrderedAlphabet(("a#", "b")), ("p",), "p", frozenset({"p"}), {("p", "b"): "p"}))
+    with pytest.raises(AnsError, match="output symbol 'x y'"):
+        format_dfao(Dfao(AB, ("p",), "p", {("p", "a"): "p"}, {"p": "x y"}, ("x y",)))
+    phi = Morphism(AB, AB, {"a": ("a", "b"), "b": ("b",)})
+    coding = Morphism(AB, OrderedAlphabet(("x y", "z")), {"a": ("x y",), "b": ("z",)})
+    with pytest.raises(AnsError, match="coding letter 'x y'"):
+        format_substitution(Substitution(phi, coding, "a"))
 
 
 def test_format_parse_preserves_language():

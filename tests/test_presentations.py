@@ -10,7 +10,7 @@ lexicographic order, keeping the accepted ones.  A term is the machine's
 output at the end of the word's run, or ``⊥`` where the run dies.
 """
 
-from itertools import islice
+from itertools import groupby, islice
 
 import pytest
 from hypothesis import given, seed, strategies as st
@@ -218,3 +218,100 @@ def test_kernel_and_its_subsequences_complete_the_machine_once(monkeypatch):
     take(u.stream(), 20)
     # kernel completes machines of its own; the sequence's machine is completed once
     assert sum(m is u.machine for m in receivers) == 1
+
+
+# -- the kernel learner's ranks and work -------------------------------------------
+
+# a's, then b, then one more letter: after the b the continuations are a and b, after those only the empty word
+A_STAR_B_ONE = Dfa(
+    AB, ("p", "r", "f"), "p", frozenset({"f"}), {("p", "a"): "p", ("p", "b"): "r", ("r", "a"): "f", ("r", "b"): "f"}
+)
+LEARNED = {
+    "ab-star-teaching": (ab_star_dfa(), teaching_dfao()),
+    "base-2": (binary_like_dfa(), thue_morse_dfao()),
+    "finite-continuations": (A_STAR_B_ONE, NO_B_AFTER_ODD_A),
+}
+
+
+def learner_bound(u):
+    # prefixes in one (language state, machine state) pair have one suffix subsequence
+    return len(least_words((u.system.language, u.machine)))
+
+
+def live_explored(learned, lang):
+    """The prefixes the learner reads that stay in the language: the empty word and
+    each class's least prefix extended by one letter.  The classes are found breadth
+    first, so their least prefixes are the learned machine's least access words."""
+    words = [()] + [w + (a,) for w in least_words((learned,)).values() for a in lang.alphabet]
+    return sorted((w for w in words if lang.run(w) is not None), key=lambda w: (len(w), w))
+
+
+def check_learner_ranks(u, bound) -> bool:
+    """The learner takes one offset per explored prefix and continuation length, and the offset
+    plus a continuation's index among those of its length is val; True if some explored
+    prefix has fewer than `bound` continuations."""
+    system, lang, least_rank, taken = u.system, u.system.language, NumerationSystem._least_rank, []
+
+    def recorded(self, word, extra):
+        rank = least_rank(self, word, extra)
+        taken.append((word, extra, rank[0]))
+        return rank
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NumerationSystem, "_least_rank", recorded)
+        learned = dfao_from_kernel(u.term, system, bound)
+    live = live_explored(learned, lang)
+    assert sorted({w for w, _, _ in taken}, key=lambda w: (len(w), w)) == live
+    short = False
+    for w in live:
+        zs = brute_words(lang, lang.run(w), bound)
+        short |= len(zs) < bound
+        offsets = [(n, first) for v, n, first in taken if v == w]
+        assert [n for n, _ in offsets] == sorted({len(z) for z in zs})
+        for (_, first), (_, run) in zip(offsets, groupby(zs, len)):
+            for j, z in enumerate(run):
+                assert first + j == system.val(w + z)
+    return short
+
+
+def check_learner_work(u, bound):
+    """No val call, one words_from listing per language state, and one term call per
+    signature entry plus `bound` for the verification pass."""
+    system, lang, words_from, listed, ranks = u.system, u.system.language, NumerationSystem.words_from, [], []
+
+    def refused(self, word):
+        raise AssertionError("the learner calls val")
+
+    def counted(self, state):
+        listed.append(state)
+        return words_from(self, state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NumerationSystem, "val", refused)
+        mp.setattr(NumerationSystem, "words_from", counted)
+        learned = dfao_from_kernel(lambda n: ranks.append(n) or u.term(n), system, bound)
+    assert len(listed) == len(set(listed)) <= len(lang.states)
+    entries = sum(len(brute_words(lang, lang.run(w), bound)) for w in live_explored(learned, lang))
+    assert len(ranks) == entries + bound
+
+
+@seed(47)
+@CORE
+@given(sequences())
+def test_learner_ranks_equal_val_on_random_machines(u):
+    check_learner_ranks(u, learner_bound(u))
+
+
+@seed(48)
+@CORE
+@given(sequences())
+def test_learner_work_on_random_machines(u):
+    check_learner_work(u, learner_bound(u))
+
+
+@pytest.mark.parametrize("name", LEARNED)
+def test_learner_ranks_and_work_on_fixed_systems(name):
+    u = AutomaticSequence(NumerationSystem(LEARNED[name][0]), LEARNED[name][1])
+    short = check_learner_ranks(u, learner_bound(u))
+    assert short == (name == "finite-continuations")
+    check_learner_work(u, learner_bound(u))
