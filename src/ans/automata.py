@@ -35,7 +35,7 @@ Word = tuple
 
 # Placeholder output carried by states that no accepted word reaches.
 BOTTOM = "⊥"
-# Default name of an explicitly materialized dead state.  The "@" prefix is
+# Name of the dead state ``completed()`` materializes.  The "@" prefix is
 # reserved: user-supplied files cannot declare identifiers starting with it.
 DEAD = "@dead"
 
@@ -137,17 +137,17 @@ class _Machine:
             k += 1
         return name
 
-    def completed(self, dead: State = DEAD, dead_output=BOTTOM):
+    def completed(self):
         """Total-transition view; adds a fresh dead state only if needed.
 
-        The dead state is not final, and on a DFAO it outputs `dead_output`.
+        The dead state is not final, and on a DFAO it outputs ``BOTTOM``.
         """
         if self.is_complete():
             return self
-        sink = self._fresh_state(dead)
+        sink = self._fresh_state(DEAD)
         states = self.states + (sink,)
         trans = {(q, a): self.trans.get((q, a), sink) for q in states for a in self.alphabet}
-        return replace(self, states=states, trans=trans, **self._sink_fields(sink, dead_output))
+        return replace(self, states=states, trans=trans, **self._sink_fields(sink))
 
     def renumbered(self, prefix: str = "q"):
         """Canonical copy: reachable states renamed q0, q1, ... in BFS order."""
@@ -156,7 +156,7 @@ class _Machine:
         fields = self._renamed_fields(name)
         return replace(self, states=tuple(name.values()), start=name[self.start], trans=trans, **fields)
 
-    def _sink_fields(self, sink, dead_output) -> dict:
+    def _sink_fields(self, sink) -> dict:
         """Fields other than states and transitions that a completion sink changes."""
         return {}
 
@@ -244,15 +244,14 @@ class Dfao(_Machine):
         kset = set(keep)
         trans = {(q, a): q2 for (q, a), q2 in self.trans.items() if q in kset and q2 in kset}
         out = {q: self.output[q] for q in keep}
-        used = set(out.values())
-        out_alpha = tuple(d for d in self.output_alphabet if d in used)
+        out_alpha = _outputs_in_use(self.output_alphabet, out.values())
         return Dfao(self.alphabet, keep, self.start, trans, out, out_alpha)
 
-    def _sink_fields(self, sink, dead_output) -> dict:
+    def _sink_fields(self, sink) -> dict:
         out_alpha = self.output_alphabet
-        if dead_output not in out_alpha:
-            out_alpha += (dead_output,)
-        return {"output": {**self.output, sink: dead_output}, "output_alphabet": out_alpha}
+        if BOTTOM not in out_alpha:
+            out_alpha += (BOTTOM,)
+        return {"output": {**self.output, sink: BOTTOM}, "output_alphabet": out_alpha}
 
     def _renamed_fields(self, name: dict) -> dict:
         return {"output": {name[q]: self.output[q] for q in name}}
@@ -262,6 +261,12 @@ class Dfao(_Machine):
         wanted = set(outputs)
         finals = frozenset(q for q in self.states if self.output[q] in wanted)
         return Dfa(self.alphabet, self.states, self.start, finals, dict(self.trans))
+
+
+def _outputs_in_use(output_alphabet: tuple, used: Iterable) -> tuple:
+    """The symbols of `output_alphabet` that occur in `used`, in declared order."""
+    used = set(used)
+    return tuple(d for d in output_alphabet if d in used)
 
 
 @dataclass(frozen=True)
@@ -317,8 +322,7 @@ def product(a: Dfa, b: Dfao) -> ProductMachine:
     ca, cb = a.completed(), b.completed()
     order, trans, _ = _reachable_product((ca, cb))
     out = {pair: cb.output[pair[1]] for pair in order}
-    used = set(out.values())
-    out_alpha = tuple(d for d in cb.output_alphabet if d in used)
+    out_alpha = _outputs_in_use(cb.output_alphabet, out.values())
     dfao = Dfao(ca.alphabet, tuple(order), order[0], trans, out, out_alpha)
     return ProductMachine(dfao, frozenset(pair for pair in order if pair[0] in ca.finals))
 
@@ -386,8 +390,7 @@ def reduce_dfao(m: Dfao) -> Dfao:
     c = acc.completed()
     states, trans = _quotient(c, c.output, None if c is acc else c.states[-1])
     out = {q: c.output[q] for q in states}
-    used = set(out.values())
-    out_alpha = tuple(d for d in c.output_alphabet if d in used)
+    out_alpha = _outputs_in_use(c.output_alphabet, out.values())
     return Dfao(c.alphabet, states, c.start, trans, out, out_alpha).renumbered()
 
 

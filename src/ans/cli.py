@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import fileformat as ff
-from .automata import BOTTOM, Dfa, Dfao, OrderedAlphabet, distinguishing_word, equivalent, minimize, reduce_dfao
+from .automata import Dfa, Dfao, OrderedAlphabet, distinguishing_word, minimize, reduce_dfao
 from .complexity import (
     WITNESS_N_MAX,
     binomial_word,
@@ -242,7 +242,7 @@ def cmd_from_morphism(args):
     if args.symbols:
         symbols = args.symbols.split() if any(c.isspace() for c in args.symbols) else list(args.symbols)
         for s in symbols:  # symbols the file parser would refuse to read back
-            if s == BOTTOM or not ff._readable(s):
+            if not ff._declarable(s):
                 raise AnsError(f"--symbols: {s!r} is reserved or holds the comment mark '#'")
     try:
         system, machine = system_from_morphism(phi, axiom, symbols)
@@ -315,12 +315,11 @@ def cmd_binomial_word(args):
 
 
 def cmd_equiv(args):
-    a = _load_dfa(args.first)
-    b = _load_dfa(args.second)
-    if equivalent(a, b):
+    word = distinguishing_word(_load_dfa(args.first), _load_dfa(args.second))
+    if word is None:
         print("equivalent")
     else:
-        print(f"distinguished by: {ff.render_word(distinguishing_word(a, b))}")
+        print(f"distinguished by: {ff.render_word(word)}")
 
 
 def cmd_minimize(args):

@@ -40,82 +40,63 @@ def _lines(text: str):
 
 
 def _check_identifier(tok: str, path: str, ln: int, *, allow_bottom: bool = False):
-    if tok == EPS or tok.startswith("@"):
+    if tok.startswith("@"):
         raise FormatError(path, ln, f"{tok!r} is reserved and cannot be declared")
     if tok == BOTTOM and not allow_bottom:
         raise FormatError(path, ln, f"{tok!r} is reserved for unreachable-state outputs")
 
 
 def _parse_machine(text: str, path: str, with_output: bool):
-    alphabet = None
-    states = None
-    start = None
-    finals = None
-    outputs: dict = {}
-    output_lines = []
-    trans: dict = {}
+    header: dict = {}  # alphabet, states, start and final: one line each at most
+    output_lines: dict = {}  # line number -> tokens
+    trans_lines: dict = {}
     for ln, line in _lines(text):
         if ":" not in line:
             raise FormatError(path, ln, f"expected 'directive: ...', got {line!r}")
         key, rest = line.split(":", 1)
         key = key.strip()
         toks = rest.split()
-        if key == "alphabet":
-            if alphabet is not None:
-                raise FormatError(path, ln, "duplicate alphabet line")
-            if not toks:
-                raise FormatError(path, ln, "alphabet line needs at least one symbol")
-            for t in toks:
-                _check_identifier(t, path, ln)
-            if len(set(toks)) != len(toks):
-                raise FormatError(path, ln, "alphabet symbols must be distinct")
-            alphabet = OrderedAlphabet(tuple(toks))
-        elif key == "states":
-            if states is not None:
-                raise FormatError(path, ln, "duplicate states line")
-            if not toks:
-                raise FormatError(path, ln, "states line needs at least one state")
-            for t in toks:
-                _check_identifier(t, path, ln)
-            if len(set(toks)) != len(toks):
-                raise FormatError(path, ln, "state names must be distinct")
-            states = tuple(toks)
-        elif key == "start":
-            if start is not None:
-                raise FormatError(path, ln, "duplicate start line")
-            if len(toks) != 1:
-                raise FormatError(path, ln, "start line needs exactly one state")
-            start = toks[0]
-        elif key == "final":
-            if with_output:
-                raise FormatError(path, ln, "output automata use 'output:' lines, not 'final:'")
-            if finals is not None:
-                raise FormatError(path, ln, "duplicate final line")
-            finals = tuple(toks)
+        # transitions and outputs make up most of a file, so they are tested first
+        if key == "trans":
+            if len(toks) != 3:
+                raise FormatError(path, ln, "trans line needs 'trans: FROM SYMBOL TO'")
+            trans_lines[ln] = toks
         elif key == "output":
             if not with_output:
                 raise FormatError(path, ln, "plain automata use 'final:' lines, not 'output:'")
             if len(toks) != 2:
                 raise FormatError(path, ln, "output line needs 'output: STATE SYMBOL'")
             _check_identifier(toks[1], path, ln, allow_bottom=True)
-            output_lines.append((ln, toks[0], toks[1]))
-        elif key == "trans":
-            if len(toks) != 3:
-                raise FormatError(path, ln, "trans line needs 'trans: FROM SYMBOL TO'")
-            trans.setdefault(ln, toks)
+            output_lines[ln] = toks
+        elif key in ("alphabet", "states", "start", "final"):
+            if key == "final" and with_output:
+                raise FormatError(path, ln, "output automata use 'output:' lines, not 'final:'")
+            if key in header:
+                raise FormatError(path, ln, f"duplicate {key} line")
+            if key in ("alphabet", "states"):
+                noun, names = ("symbol", "alphabet symbols") if key == "alphabet" else ("state", "state names")
+                if not toks:
+                    raise FormatError(path, ln, f"{key} line needs at least one {noun}")
+                for t in toks:
+                    _check_identifier(t, path, ln)
+                if len(set(toks)) != len(toks):
+                    raise FormatError(path, ln, f"{names} must be distinct")
+            elif key == "start" and len(toks) != 1:
+                raise FormatError(path, ln, "start line needs exactly one state")
+            header[key] = toks
         else:
             raise FormatError(path, ln, f"unknown directive {key!r}")
-    if alphabet is None:
-        raise FormatError(path, 0, "missing alphabet line")
-    if states is None:
-        raise FormatError(path, 0, "missing states line")
-    if start is None:
-        raise FormatError(path, 0, "missing start line")
+    for key in ("alphabet", "states", "start"):
+        if key not in header:
+            raise FormatError(path, 0, f"missing {key} line")
+    alphabet = OrderedAlphabet(tuple(header["alphabet"]))
+    states = tuple(header["states"])
+    start = header["start"][0]
     state_set = set(states)
     if start not in state_set:
         raise FormatError(path, 0, f"start state {start!r} is not declared")
     table: dict = {}
-    for ln, (src, sym, dst) in trans.items():
+    for ln, (src, sym, dst) in trans_lines.items():
         if src not in state_set:
             raise FormatError(path, ln, f"unknown state {src!r}")
         if dst not in state_set:
@@ -126,7 +107,8 @@ def _parse_machine(text: str, path: str, with_output: bool):
             raise FormatError(path, ln, f"duplicate transition from {src!r} on {sym!r}")
         table[(src, sym)] = dst
     if with_output:
-        for ln, q, d in output_lines:
+        outputs: dict = {}
+        for ln, (q, d) in output_lines.items():
             if q not in state_set:
                 raise FormatError(path, ln, f"unknown state {q!r}")
             if q in outputs:
@@ -135,12 +117,9 @@ def _parse_machine(text: str, path: str, with_output: bool):
         missing = [q for q in states if q not in outputs]
         if missing:
             raise FormatError(path, 0, f"states without output: {' '.join(map(str, missing))}")
-        seen = []
-        for q in states:
-            if outputs[q] not in seen:
-                seen.append(outputs[q])
-        return Dfao(alphabet, states, start, table, outputs, tuple(seen))
-    finals = finals or ()
+        first_seen = tuple(dict.fromkeys(outputs[q] for q in states))
+        return Dfao(alphabet, states, start, table, outputs, first_seen)
+    finals = header.get("final", ())
     for f in finals:
         if f not in state_set:
             raise FormatError(path, 0, f"final state {f!r} is not declared")
@@ -302,8 +281,13 @@ def _require_readable(symbols, what: str):
             raise AnsError(f"{what} {x!r} cannot be written: the file parser would not read it back")
 
 
+def _declarable(x) -> bool:
+    """Whether a file can declare `x` by name: a readable string other than ``⊥``."""
+    return isinstance(x, str) and _readable(x) and x != BOTTOM
+
+
 def _letter_names(letters, prefix: str) -> dict:
-    if all(isinstance(x, str) and _readable(x) and x != BOTTOM for x in letters):
+    if all(map(_declarable, letters)):
         return {x: x for x in letters}
     return {x: f"{prefix}{i}" for i, x in enumerate(letters)}
 
@@ -352,11 +336,11 @@ def parse_word(text: str, alphabet: OrderedAlphabet) -> Word:
     return tuple(toks)
 
 
-def render_word(word: Word, glue_single_chars: bool = True) -> str:
+def render_word(word: Word) -> str:
     """Inverse of parse_word, gluing single-character symbols when unambiguous."""
     if not word:
         return EPS
     parts = [str(s) for s in word]
-    if glue_single_chars and all(len(p) == 1 for p in parts):
+    if all(len(p) == 1 for p in parts):
         return "".join(parts)
     return " ".join(parts)

@@ -67,13 +67,13 @@ class AutomaticSequence:
 
     system: NumerationSystem
     machine: Dfao
-    output_alphabet: tuple = field(init=False)
+    output_alphabet: tuple = field(init=False)  # the stream's symbols: the machine's, plus ⊥ if partial
     _complete: Dfao = field(init=False, repr=False, compare=False)  # completed once, for every walk
 
     def __post_init__(self):
         _require_same_alphabet(self.system, self.machine)
-        object.__setattr__(self, "output_alphabet", self.machine.output_alphabet)
         object.__setattr__(self, "_complete", self.machine.completed())
+        object.__setattr__(self, "output_alphabet", self._complete.output_alphabet)
 
     def term(self, n: int):
         """The output at rank `n` (the machine run on the n-th word), ``⊥`` where the run dies."""

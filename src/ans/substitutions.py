@@ -26,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator
 
-from .automata import Dfa, Dfao, OrderedAlphabet, Word, product
+from .automata import Dfa, Dfao, OrderedAlphabet, Word, _outputs_in_use, minimize, product, reduce_dfao
 from .errors import FiniteLanguageError, NotProlongableError
 from .numeration import NumerationSystem
+from .sequences import AutomaticSequence
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,8 @@ def state_morphism(machine) -> tuple[Morphism, Hashable]:
     return Morphism(domain, domain, images), alpha
 
 
-def substitution_of(u) -> Substitution:
-    """Substitution generating the sequence of `u` (an AutomaticSequence).
+def substitution_of(u: AutomaticSequence) -> Substitution:
+    """Substitution generating the sequence of `u`.
 
     Built on the pair automaton of the language automaton and the output
     machine: the coding erases the fresh seed and every pair whose language
@@ -177,17 +178,10 @@ def substitution_of(u) -> Substitution:
     pairs = prod.dfao
     phi, alpha = state_morphism(pairs)
     h_images = {alpha: ()}
-    used = []
     for q in pairs.states:
-        if q in prod.finals:
-            d = pairs.output[q]
-            h_images[q] = (d,)
-            if d not in used:
-                used.append(d)
-        else:
-            h_images[q] = ()
-    ordered = tuple(d for d in pairs.output_alphabet if d in set(used))
-    coding = Morphism(phi.domain, OrderedAlphabet(ordered), h_images)
+        h_images[q] = (pairs.output[q],) if q in prod.finals else ()
+    used = _outputs_in_use(pairs.output_alphabet, (pairs.output[q] for q in prod.finals))
+    coding = Morphism(phi.domain, OrderedAlphabet(used), h_images)
     return Substitution(phi, coding, alpha)
 
 
@@ -197,9 +191,6 @@ def canonical_substitution(language: Dfa, machine: Dfao) -> Substitution:
     Minimization and reduction both renumber states breadth-first, so equal
     (language, output function) inputs always yield the same substitution.
     """
-    from .automata import minimize, reduce_dfao
-    from .sequences import AutomaticSequence
-
     system = NumerationSystem(minimize(language))
     return substitution_of(AutomaticSequence(system, reduce_dfao(machine)))
 

@@ -176,17 +176,33 @@ def test_kernel_to_dfao(files, capsys, tmp_path):
     assert out.strip() == GOLDEN_50
 
 
-def test_kernel_to_dfao_partial_machine(files, capsys, tmp_path):
-    # no move on b after an odd number of a's: those terms are ⊥, and the learner reproduces them
+def write_partial_machine(files, capsys, tmp_path):
+    """A partial machine over a*b* and its kernel relearn, as file paths."""
+    # no move on b after an odd number of a's: those terms are ⊥
     machine, learned = tmp_path / "partial.dfao", tmp_path / "learned.dfao"
     trans = {("x", "a"): "y", ("y", "a"): "x", ("x", "b"): "x"}
     machine.write_text(ff.format_dfao(ans.Dfao(AB, ("x", "y"), "x", trans, {"x": "0", "y": "1"}, ("0", "1"))))
     argv = ["kernel-to-dfao", "-s", files["lang"], "-m", str(machine), "--bound", "14", "-o", str(learned)]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    want = run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(machine), "--count", "50"])
+    return str(machine), str(learned)
+
+
+def test_kernel_to_dfao_partial_machine(files, capsys, tmp_path):
+    # the learner reproduces the ⊥ terms of a partial machine
+    machine, learned = write_partial_machine(files, capsys, tmp_path)
+    want = run_ok(capsys, ["seq", "-s", files["lang"], "-m", machine, "--count", "50"])
     assert want.startswith("0100⊥010⊥00⊥")
-    assert run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(learned), "--count", "50"]) == want
+    assert run_ok(capsys, ["seq", "-s", files["lang"], "-m", learned, "--count", "50"]) == want
+
+
+def test_gaps_finds_bottom_on_a_partial_machine(files, capsys, tmp_path):
+    # ⊥ is a symbol of the stream whether or not the machine declares it
+    machine, learned = write_partial_machine(files, capsys, tmp_path)
+    terms = run_ok(capsys, ["seq", "-s", files["lang"], "-m", machine, "--count", "50"]).strip()
+    want = run_ok(capsys, ["gaps", "-s", files["lang"], "-m", learned, "--factor", "⊥", "--count", "50"])
+    assert want.splitlines()[1] == "positions: " + " ".join(str(i) for i, t in enumerate(terms) if t == "⊥")
+    assert run_ok(capsys, ["gaps", "-s", files["lang"], "-m", machine, "--factor", "⊥", "--count", "50"]) == want
 
 
 def test_kernel_to_dfao_bound_exceeded(files, capsys):

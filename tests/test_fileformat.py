@@ -146,6 +146,71 @@ def test_output_alphabet_order_is_first_appearance():
     assert m.output_alphabet == ("2", "0")
 
 
+HEAD = "alphabet: a b\nstates: p q\nstart: p\n"
+
+# One malformed file per error the machine parser can report, with the exact
+# message it must give, path and line included (line 0: a whole-file check).
+MACHINE_ERRORS = [
+    ("dfa", HEAD + "final p\n", "m:4: expected 'directive: ...', got 'final p'"),
+    ("dfa", HEAD + "alphabet: a\n", "m:4: duplicate alphabet line"),
+    ("dfa", "alphabet:\nstates: p\n", "m:1: alphabet line needs at least one symbol"),
+    ("dfa", "alphabet: a @eps\n", "m:1: '@eps' is reserved and cannot be declared"),
+    ("dfa", f"alphabet: a {BOTTOM}\n", f"m:1: '{BOTTOM}' is reserved for unreachable-state outputs"),
+    ("dfa", "alphabet: a b a\n", "m:1: alphabet symbols must be distinct"),
+    ("dfa", HEAD + "states: r\n", "m:4: duplicate states line"),
+    ("dfa", "alphabet: a\nstates:\n", "m:2: states line needs at least one state"),
+    ("dfa", "alphabet: a\nstates: p @dead\n", "m:2: '@dead' is reserved and cannot be declared"),
+    ("dfa", f"alphabet: a\nstates: p {BOTTOM}\n", f"m:2: '{BOTTOM}' is reserved for unreachable-state outputs"),
+    ("dfa", "alphabet: a\nstates: p q p\n", "m:2: state names must be distinct"),
+    ("dfa", HEAD + "start: q\n", "m:4: duplicate start line"),
+    ("dfa", "alphabet: a\nstates: p q\nstart: p q\n", "m:3: start line needs exactly one state"),
+    ("dfa", "alphabet: a\nstates: p q\nstart:\n", "m:3: start line needs exactly one state"),
+    ("dfao", HEAD + "final: p\n", "m:4: output automata use 'output:' lines, not 'final:'"),
+    ("dfa", HEAD + "final: p\nfinal: q\n", "m:5: duplicate final line"),
+    ("dfa", HEAD + "output: p 0\n", "m:4: plain automata use 'final:' lines, not 'output:'"),
+    ("dfao", HEAD + "output: p\n", "m:4: output line needs 'output: STATE SYMBOL'"),
+    ("dfao", HEAD + "output: p @x\n", "m:4: '@x' is reserved and cannot be declared"),
+    ("dfa", HEAD + "trans: p a\n", "m:4: trans line needs 'trans: FROM SYMBOL TO'"),
+    ("dfa", HEAD + "accept: p\n", "m:4: unknown directive 'accept'"),
+    ("dfa", "states: p\nstart: p\n", "m:0: missing alphabet line"),
+    ("dfa", "alphabet: a\nstart: p\n", "m:0: missing states line"),
+    ("dfa", "alphabet: a\nstates: p\nfinal: p\n", "m:0: missing start line"),
+    ("dfa", "alphabet: a\nstates: p\nstart: r\n", "m:0: start state 'r' is not declared"),
+    ("dfa", HEAD + "trans: p a p\ntrans: r a p\n", "m:5: unknown state 'r'"),
+    ("dfa", HEAD + "trans: p a r\n", "m:4: unknown state 'r'"),
+    ("dfa", HEAD + "trans: p c q\n", "m:4: symbol 'c' is not in the alphabet"),
+    ("dfa", HEAD + "trans: p a q\ntrans: p a p\n", "m:5: duplicate transition from 'p' on 'a'"),
+    ("dfao", HEAD + "output: p 0\noutput: r 1\n", "m:5: unknown state 'r'"),
+    ("dfao", HEAD + "output: p 0\noutput: p 1\n", "m:5: duplicate output for state 'p'"),
+    ("dfao", "alphabet: a\nstates: p q r\nstart: p\noutput: q 0\n", "m:0: states without output: p r"),
+    ("dfa", HEAD + "final: p r\n", "m:0: final state 'r' is not declared"),
+    # several faults: each line is read in turn, so the first faulty line wins
+    ("dfa", "alphabet: a a\nstates:\nstart: p q\nfoo: 1\n", "m:1: alphabet symbols must be distinct"),
+    ("dfa", HEAD + "trans: p a q\ntrans: q c p\ntrans: r a p\ntrans: p a p\n",
+     "m:5: symbol 'c' is not in the alphabet"),
+    # within a line the duplicate check, and a transition's states, come
+    # first; header lines are read before any reference to a state; then
+    # the start state, the transitions, the outputs and the final states
+    # are checked in turn
+    ("dfa", HEAD + "states: p p\n", "m:4: duplicate states line"),
+    ("dfa", HEAD + "trans: r c s\n", "m:4: unknown state 'r'"),
+    ("dfa", "alphabet: a\ntrans: p a r\nstates: p\n", "m:0: missing start line"),
+    ("dfa", "alphabet: a\nstates: p\nstart: r\ntrans: p c p\n", "m:0: start state 'r' is not declared"),
+    ("dfao", HEAD + "output: r 0\ntrans: p a r\n", "m:5: unknown state 'r'"),
+    ("dfa", HEAD + "final: r\ntrans: p c p\n", "m:5: symbol 'c' is not in the alphabet"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", MACHINE_ERRORS)
+def test_machine_parser_messages(kind, text, message):
+    parse = parse_dfa if kind == "dfa" else parse_dfao
+    with pytest.raises(FormatError) as exc:
+        parse(text, "m")
+    assert str(exc.value) == message
+    assert exc.value.path == "m"
+    assert exc.value.line == int(message.split(":")[1])
+
+
 MOR_TEXT = """\
 axiom: x
 x -> x y
