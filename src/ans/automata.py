@@ -5,10 +5,10 @@ Conventions used throughout the package:
 * Automata are *partial*: a missing transition means the word falls into an
   implicit dead state and is rejected.  ``completed()`` materializes that
   state when a construction needs totality.
-* States are opaque hashable values.  Constructions that build new automata
-  (products, quotients) use tuples or representative states as states;
-  ``renumbered()`` gives the canonical breadth-first string naming used for
-  serialization.
+* States are opaque hashable values; products use tuples of them.  Every
+  machine derived from another keeps some states under new names through
+  ``_renamed``, and ``renumbered()`` gives the canonical breadth-first
+  naming q0, q1, ... used for serialization.
 * All instances are immutable by contract: no method mutates ``self``.
 
 Every product of machines read in parallel (``product``, ``intersect``,
@@ -151,10 +151,17 @@ class _Machine:
 
     def renumbered(self, prefix: str = "q"):
         """Canonical copy: reachable states renamed q0, q1, ... in BFS order."""
-        name = {q: f"{prefix}{i}" for i, q in enumerate(self.reachable())}
-        trans = {(name[q], a): name[q2] for (q, a), q2 in self.trans.items() if q in name}
-        fields = self._renamed_fields(name)
-        return replace(self, states=tuple(name.values()), start=name[self.start], trans=trans, **fields)
+        return self._renamed({q: f"{prefix}{i}" for i, q in enumerate(self.reachable())})
+
+    def _renamed(self, name: dict, **fields):
+        """Copy keeping the states in `name`, renamed to their values; states sharing a name merge.
+
+        Transitions between kept states stay; `fields` override what ``_renamed_fields`` carries.
+        """
+        trans = {(name[q], a): name[q2] for (q, a), q2 in self.trans.items() if q in name and q2 in name}
+        states = tuple(dict.fromkeys(name.values()))
+        fields = {**self._renamed_fields(name), **fields}
+        return replace(self, states=states, start=name[self.start], trans=trans, **fields)
 
     def _sink_fields(self, sink) -> dict:
         """Fields other than states and transitions that a completion sink changes."""
@@ -200,9 +207,7 @@ class Dfa(_Machine):
         """Restrict to accessible-and-coaccessible states (start always kept)."""
         keep = set(self.reachable()) & self.coaccessible()
         keep.add(self.start)
-        states = tuple(q for q in self.states if q in keep)
-        trans = {(q, a): q2 for (q, a), q2 in self.trans.items() if q in keep and q2 in keep}
-        return Dfa(self.alphabet, states, self.start, self.finals & keep, trans)
+        return self._renamed({q: q for q in self.states if q in keep})
 
     def _renamed_fields(self, name: dict) -> dict:
         return {"finals": frozenset(name[q] for q in self.finals if q in name)}
@@ -240,12 +245,10 @@ class Dfao(_Machine):
         return self.output[q]
 
     def accessible(self) -> "Dfao":
+        """Reachable part, declaring only the outputs it uses."""
         keep = self.reachable()
-        kset = set(keep)
-        trans = {(q, a): q2 for (q, a), q2 in self.trans.items() if q in kset and q2 in kset}
-        out = {q: self.output[q] for q in keep}
-        out_alpha = _outputs_in_use(self.output_alphabet, out.values())
-        return Dfao(self.alphabet, keep, self.start, trans, out, out_alpha)
+        out_alpha = _outputs_in_use(self.output_alphabet, map(self.output.get, keep))
+        return self._renamed(dict(zip(keep, keep)), output_alphabet=out_alpha)
 
     def _sink_fields(self, sink) -> dict:
         out_alpha = self.output_alphabet
@@ -347,37 +350,26 @@ def _refine(states: Sequence, alphabet: OrderedAlphabet, trans: dict, label: dic
         count = len(nums)
 
 
-def _quotient(c, label: dict, sink) -> tuple[tuple, dict]:
-    """Merge the states of a complete machine that no word tells apart.
+def _quotient(c, label: dict, sink):
+    """Merge the states of a complete machine that no word tells apart, canonically renumbered.
 
-    States merge when every word leads them to equal labels.  Returns one
-    representative per block, the first in breadth-first order, and the
-    transitions between representatives.  The block of the completion
-    `sink` (None if completion added none) is dropped, so transitions into
-    it go missing again, unless it holds the start.
+    States merge when every word leads them to equal labels.  The block of
+    the completion `sink` (None if completion added none) is dropped, so
+    transitions into it go missing again, unless it holds the start.
     """
-    reach = c.reachable()
-    block = _refine(reach, c.alphabet, c.trans, label)
-    rep = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
+    block = _refine(c.reachable(), c.alphabet, c.trans, label)
+    blocks = dict.fromkeys(block.values())  # ids count up in BFS order, which is the quotient's BFS order
     if sink is not None and block[sink] != block[c.start]:
-        del rep[block[sink]]
-    trans = {}
-    for q in rep.values():
-        for s in c.alphabet:
-            b = block[c.trans[(q, s)]]
-            if b in rep:
-                trans[(q, s)] = rep[b]
-    return tuple(rep.values()), trans
+        del blocks[block[sink]]
+    name = {b: f"q{i}" for i, b in enumerate(blocks)}
+    return c._renamed({q: name[b] for q, b in block.items() if b in name})
 
 
 def minimize(a: Dfa) -> Dfa:
     """Minimal partial DFA for the language of `a`, canonically renumbered."""
     t = a.trimmed()
     c = t.completed()
-    states, trans = _quotient(c, {q: q in c.finals for q in c.states}, None if c is t else c.states[-1])
-    return Dfa(c.alphabet, states, c.start, c.finals.intersection(states), trans).renumbered()
+    return _quotient(c, {q: q in c.finals for q in c.states}, None if c is t else c.states[-1])
 
 
 def reduce_dfao(m: Dfao) -> Dfao:
@@ -388,10 +380,8 @@ def reduce_dfao(m: Dfao) -> Dfao:
     """
     acc = m.accessible()
     c = acc.completed()
-    states, trans = _quotient(c, c.output, None if c is acc else c.states[-1])
-    out = {q: c.output[q] for q in states}
-    out_alpha = _outputs_in_use(c.output_alphabet, out.values())
-    return Dfao(c.alphabet, states, c.start, trans, out, out_alpha).renumbered()
+    r = _quotient(c, c.output, None if c is acc else c.states[-1])
+    return replace(r, output_alphabet=_outputs_in_use(r.output_alphabet, r.output.values()))
 
 
 def is_empty(a: Dfa) -> bool:
@@ -405,7 +395,7 @@ def is_infinite(a: Dfa) -> bool:
     removes exactly the states on no cycle and reached from none.
     """
     t = a.trimmed()
-    if is_empty(t):
+    if not t.finals:  # trimming keeps every reached final state
         return False
     indegree = dict.fromkeys(t.states, 0)
     for q2 in t.trans.values():
@@ -443,7 +433,11 @@ def _boolean_product(a: Dfa, b: Dfa, keep) -> Dfa:
     ca, cb = a.completed(), b.completed()
     order, trans, _ = _reachable_product((ca, cb))
     finals = frozenset(pq for pq in order if keep(pq[0] in ca.finals, pq[1] in cb.finals))
-    return Dfa(ca.alphabet, tuple(order), order[0], finals, trans).trimmed().renumbered()
+    p = Dfa(ca.alphabet, tuple(order), order[0], finals, trans)
+    # a live state's least access word passes through live states only, so
+    # `order` keeps the trimmed machine's breadth-first order
+    live = p.coaccessible() | {p.start}
+    return p._renamed({q: f"q{i}" for i, q in enumerate(q for q in order if q in live)})
 
 
 def intersect(a: Dfa, b: Dfa) -> Dfa:

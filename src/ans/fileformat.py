@@ -135,7 +135,7 @@ def parse_dfao(text: str, path: str = "<dfao>") -> Dfao:
 
 
 def _format_machine(machine, final_or_output_lines) -> str:
-    _require_readable(machine.alphabet, "alphabet letter")
+    _require_readable(_declarable, machine.alphabet, "alphabet letter")
     names = _letter_names(machine.states, "q")
     lines = [
         "alphabet: " + " ".join(str(s) for s in machine.alphabet),
@@ -160,7 +160,7 @@ def format_dfa(dfa: Dfa) -> str:
 
 
 def format_dfao(m: Dfao) -> str:
-    _require_readable((m.output[q] for q in m.states), "output symbol")
+    _require_readable(_readable, (m.output[q] for q in m.states), "output symbol")
 
     def outputs(names):
         return [f"output: {names[q]} {m.output[q]}" for q in m.states]
@@ -275,9 +275,9 @@ def _readable(x: str) -> bool:
     return x != "" and not any(c.isspace() or c == "#" for c in x) and not x.startswith("@")
 
 
-def _require_readable(symbols, what: str):
+def _require_readable(readable, symbols, what: str):
     for x in map(str, symbols):
-        if not _readable(x):
+        if not readable(x):
             raise AnsError(f"{what} {x!r} cannot be written: the file parser would not read it back")
 
 
@@ -307,7 +307,7 @@ def format_morphism(m: Morphism, axiom) -> str:
 
 
 def format_substitution(t: Substitution) -> str:
-    _require_readable((y for x in t.phi.domain for y in t.coding.images[x]), "coding letter")
+    _require_readable(_readable, (y for x in t.phi.domain for y in t.coding.images[x]), "coding letter")
     names = _letter_names(t.phi.domain.symbols, "s")
     lines = [format_morphism(t.phi, t.seed)]
     for x in t.phi.domain:

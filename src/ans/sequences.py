@@ -77,8 +77,7 @@ class AutomaticSequence:
 
     def term(self, n: int):
         """The output at rank `n` (the machine run on the n-th word), ``⊥`` where the run dies."""
-        q = self.machine.run(self.system.rep(n))
-        return BOTTOM if q is None else self.machine.output[q]
+        return self._complete.transform(self.system.rep(n))
 
     def stream(self) -> SequenceStream:
         return _outputs(self.system, self._complete)
@@ -132,11 +131,12 @@ def dfao_from_fibers(system: NumerationSystem, fibers: dict) -> Dfao:
             "union from it"
         )
     # project onto the fiber coordinates: where a tuple of fiber states
-    # leads does not depend on the language's state beside it
-    ptrans = {(q[1:], s): q2[1:] for (q, s), q2 in trans.items()}
-    out_alpha = symbols if BOTTOM not in out.values() else symbols + (BOTTOM,)
-    machine = Dfao(system.alphabet, tuple(out), order[0][1:], ptrans, out, out_alpha)
-    return machine.renumbered()
+    # leads does not depend on the language's state beside it, and the
+    # projections' first appearances in `order` are their own BFS order
+    name = {p: f"q{i}" for i, p in enumerate(out)}
+    out_alpha = symbols if BOTTOM in symbols or BOTTOM not in out.values() else symbols + (BOTTOM,)
+    machine = Dfao(system.alphabet, tuple(order), order[0], trans, {q: out[q[1:]] for q in order}, out_alpha)
+    return machine._renamed({q: name[q[1:]] for q in order})
 
 
 @dataclass(frozen=True)

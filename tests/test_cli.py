@@ -149,6 +149,22 @@ def test_fibers_to_dfao_argument_errors(files, capsys):
     assert "repeats symbol" in err
 
 
+def test_fibers_to_dfao_takes_a_bottom_fiber(files, capsys, tmp_path):
+    # a complete machine may declare ⊥ as an output; its fiber rebuilds like any other
+    machine, rebuilt = tmp_path / "parity.dfao", tmp_path / "rebuilt.dfao"
+    trans = {(q, a): {"e": "o", "o": "e"}[q] for q in "eo" for a in "ab"}
+    machine.write_text(ff.format_dfao(ans.Dfao(AB, ("e", "o"), "e", trans, {"e": "⊥", "o": "1"}, ("⊥", "1"))))
+    argv = ["fibers-to-dfao", "-s", files["lang"], "-o", str(rebuilt)]
+    for symbol in ("⊥", "1"):
+        path = tmp_path / f"f{symbol}.dfa"
+        run_ok(capsys, ["fiber", "-s", files["lang"], "-m", str(machine), "--symbol", symbol, "-o", str(path)])
+        argv += ["--fiber", f"{symbol}={path}"]
+    run_ok(capsys, argv)
+    want = run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(machine), "--count", "50"])
+    assert want.startswith("⊥11⊥⊥⊥1111⊥")
+    assert run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(rebuilt), "--count", "50"]) == want
+
+
 def test_kernel_text(files, capsys):
     out = run_ok(capsys, ["kernel", "-s", files["lang"], "-m", files["machine"], "--terms", "6"])
     lines = out.splitlines()

@@ -64,6 +64,11 @@ def test_names_with_the_comment_mark_round_trip_or_are_refused():
     # letters and outputs are written verbatim, so one the parser cannot read back is refused
     with pytest.raises(AnsError, match="alphabet letter 'a#'"):
         format_dfa(Dfa(OrderedAlphabet(("a#", "b")), ("p",), "p", frozenset({"p"}), {("p", "b"): "p"}))
+    with pytest.raises(AnsError, match="alphabet letter '⊥'"):
+        format_dfa(Dfa(OrderedAlphabet(("⊥", "a")), ("p",), "p", frozenset({"p"}), {("p", "a"): "p"}))
+    # integer letters, as in substitution inputs, are written as their digits
+    digits = Dfa(OrderedAlphabet((0, 1, 2)), ("p",), "p", frozenset({"p"}), {("p", 1): "p"})
+    assert parse_dfa(format_dfa(digits)).alphabet.symbols == ("0", "1", "2")
     with pytest.raises(AnsError, match="output symbol 'x y'"):
         format_dfao(Dfao(AB, ("p",), "p", {("p", "a"): "p"}, {"p": "x y"}, ("x y",)))
     phi = Morphism(AB, AB, {"a": ("a", "b"), "b": ("b",)})
@@ -260,6 +265,10 @@ def test_substitution_coding_lines():
     t = parse_substitution(text)
     assert t.coding.images["x"] == ()
     assert t.coding.images["y"] == ("0",)
+    # a morphism image may be empty too, and a coding letter may be ⊥
+    t = parse_substitution(f"axiom: x\nx -> x y z\ny -> y\nz -> @eps\nh: x -> {BOTTOM}\nh: y -> 0\nh: z -> @eps\n")
+    assert t.phi.images["z"] == ()
+    assert t.coding.images == {"x": (BOTTOM,), "y": ("0",), "z": ()}
 
 
 def test_substitution_rejects_total_erasure():
@@ -271,6 +280,51 @@ def test_substitution_rejects_total_erasure():
 def test_plain_morphism_rejects_h_lines():
     with pytest.raises(FormatError, match="cannot carry 'h:'"):
         parse_morphism(MOR_TEXT + "h: x -> 0\n")
+
+
+MOR = "axiom: x\nx -> x y\ny -> y\n"
+
+# One malformed file per error the morphism and substitution parsers can
+# report, with the exact message (line 0: a whole-file check).
+MORPHISM_ERRORS = [
+    ("mor", "axiom: x\naxiom: x\nx -> x\n", "m:2: duplicate axiom line"),
+    ("mor", "axiom: x y\nx -> x\n", "m:1: axiom line needs exactly one letter"),
+    ("mor", "axiom:\nx -> x\n", "m:1: axiom line needs exactly one letter"),
+    ("sub", MOR + "h: x 0\n", "m:4: h line needs 'h: LETTER -> IMAGE'"),
+    ("mor", "axiom: x\nx y\n", "m:2: expected an image line or 'axiom:', got 'x y'"),
+    ("mor", "axiom: x\nx y -> x\n", "m:2: image line needs exactly one letter before '->'"),
+    ("mor", "axiom: x\n-> x\n", "m:2: image line needs exactly one letter before '->'"),
+    ("mor", "axiom: x\n@x -> x\n", "m:2: '@x' is reserved and cannot be declared"),
+    ("mor", f"axiom: x\n{BOTTOM} -> x\n", f"m:2: '{BOTTOM}' is reserved for unreachable-state outputs"),
+    ("mor", "axiom: x\nx -> x @eps\n", "m:2: '@eps' is reserved and cannot be declared"),
+    ("mor", f"axiom: x\nx -> x {BOTTOM}\n", f"m:2: '{BOTTOM}' is reserved for unreachable-state outputs"),
+    ("mor", "axiom: x\nx -> x\nx -> x x\n", "m:3: duplicate image for letter 'x'"),
+    ("mor", "axiom: x\n", "m:0: no image lines found"),
+    ("mor", "axiom: x\nx -> x z\n", "m:2: image letter 'z' has no image line of its own"),
+    ("mor", "x -> x\n", "m:0: missing axiom line"),
+    ("mor", "axiom: y\nx -> x\n", "m:0: axiom 'y' has no image line"),
+    ("mor", MOR + "h: x -> 0\n", "m:4: plain morphism files cannot carry 'h:' lines"),
+    ("sub", MOR + "h: x y -> 0\n", "m:4: h line needs exactly one letter before '->'"),
+    ("sub", MOR + "h: z -> 0\n", "m:4: h maps unknown letter 'z'"),
+    ("sub", MOR + "h: x -> 0\nh: x -> 1\n", "m:5: duplicate h image for 'x'"),
+    ("sub", MOR + "h: x -> 0 1\n", "m:4: a weak coding maps each letter to one letter or @eps"),
+    ("sub", MOR + "h: x ->\n", "m:4: a weak coding maps each letter to one letter or @eps"),
+    ("sub", MOR + "h: x -> @z\n", "m:4: '@z' is reserved and cannot be declared"),
+    ("sub", MOR + "h: x -> 0\n", "m:0: letters without h image: y"),
+    ("sub", MOR + "h: x -> @eps\nh: y -> @eps\n", "m:0: the coding erases every letter"),
+    # the morphism is checked before the coding, and lines are read before either
+    ("sub", "axiom: x\nx -> x y\nh: x -> 0\n", "m:2: image letter 'y' has no image line of its own"),
+    ("sub", "x -> x\nh: x 0\n", "m:2: h line needs 'h: LETTER -> IMAGE'"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", MORPHISM_ERRORS)
+def test_morphism_parser_messages(kind, text, message):
+    parse = parse_morphism if kind == "mor" else parse_substitution
+    with pytest.raises(FormatError) as exc:
+        parse(text, "m")
+    assert str(exc.value) == message
+    assert exc.value.line == int(message.split(":")[1])
 
 
 def test_parse_word_forms():
