@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * Automata are *partial*: a missing transition means the word falls into an
   implicit dead state and is rejected.  ``completed()`` materializes that
-  state when a construction needs totality.
+  state; ``_reachable_product`` and ``_quotient``, which need totality, call
+  it on what they read, so their callers pass machines as given.
 * States are opaque hashable values; products use tuples of them.  Every
   machine derived from another keeps some states under new names through
   ``_renamed``, and ``renumbered()`` gives the canonical breadth-first
@@ -101,9 +102,9 @@ class _Machine:
             if a not in self.alphabet:
                 raise ValueError(f"transition {(q, a, q2)!r} uses a symbol outside the alphabet")
 
-    def run(self, word: Iterable, state: State | None = None) -> State | None:
-        """State reached from `state` (default: start) or None if undefined."""
-        q = self.start if state is None else state
+    def run(self, word: Iterable) -> State | None:
+        """State reached from the start, or None if undefined."""
+        q = self.start
         for a in word:
             q = self.trans.get((q, a))
             if q is None:
@@ -237,18 +238,12 @@ class Dfao(_Machine):
             if self.output[q] not in allowed:
                 raise ValueError(f"state {q!r} outputs {self.output[q]!r}, outside the output alphabet")
 
-    def transform(self, word: Iterable, state: State | None = None):
+    def transform(self, word: Iterable):
         """Output at the state reached by `word`; ValueError if the run dies."""
-        q = self.run(word, state)
+        q = self.run(word)
         if q is None:
             raise ValueError("output undefined: the run leaves the transition table")
         return self.output[q]
-
-    def accessible(self) -> "Dfao":
-        """Reachable part, declaring only the outputs it uses."""
-        keep = self.reachable()
-        out_alpha = _outputs_in_use(self.output_alphabet, map(self.output.get, keep))
-        return self._renamed(dict(zip(keep, keep)), output_alphabet=out_alpha)
 
     def _sink_fields(self, sink) -> dict:
         out_alpha = self.output_alphabet
@@ -257,7 +252,8 @@ class Dfao(_Machine):
         return {"output": {**self.output, sink: BOTTOM}, "output_alphabet": out_alpha}
 
     def _renamed_fields(self, name: dict) -> dict:
-        return {"output": {name[q]: self.output[q] for q in name}}
+        out = {name[q]: self.output[q] for q in name}
+        return {"output": out, "output_alphabet": _outputs_in_use(self.output_alphabet, out.values())}
 
     def as_acceptor(self, outputs) -> Dfa:
         """DFA over the same graph accepting words whose output lies in `outputs`."""
@@ -293,15 +289,15 @@ def _require_same_alphabet(a, b):
 
 
 def _reachable_product(machines) -> tuple[list, dict, dict]:
-    """The machines read in parallel: their reachable tuples of states.
+    """The machines read in parallel, each completed: their reachable tuples of states.
 
-    All machines must be complete and share one ordered alphabet.  Returns
-    the tuples in breadth-first alphabet order (the shortlex order of their
-    least access words), the transitions between them, and each tuple's
-    least access word.
+    The machines must share one ordered alphabet.  Returns the tuples in
+    breadth-first alphabet order (the shortlex order of their least access
+    words), the transitions between them, and each tuple's least access word.
     """
     for m in machines[1:]:
         _require_same_alphabet(machines[0], m)
+    machines = [m.completed() for m in machines]
     alphabet = machines[0].alphabet.symbols
     # each state's successors in alphabet order: zipping the rows of the
     # current states gives the next tuple for every letter in turn
@@ -322,12 +318,12 @@ def _reachable_product(machines) -> tuple[list, dict, dict]:
 
 def product(a: Dfa, b: Dfao) -> ProductMachine:
     """Reachable pair automaton of `a` and `b` (both completed first)."""
-    ca, cb = a.completed(), b.completed()
-    order, trans, _ = _reachable_product((ca, cb))
+    cb = b.completed()  # its dead state's ``BOTTOM`` output is read here
+    order, trans, _ = _reachable_product((a, cb))
     out = {pair: cb.output[pair[1]] for pair in order}
     out_alpha = _outputs_in_use(cb.output_alphabet, out.values())
-    dfao = Dfao(ca.alphabet, tuple(order), order[0], trans, out, out_alpha)
-    return ProductMachine(dfao, frozenset(pair for pair in order if pair[0] in ca.finals))
+    dfao = Dfao(a.alphabet, tuple(order), order[0], trans, out, out_alpha)
+    return ProductMachine(dfao, frozenset(pair for pair in order if pair[0] in a.finals))
 
 
 def _refine(states: Sequence, alphabet: OrderedAlphabet, trans: dict, label: dict) -> dict:
@@ -350,38 +346,35 @@ def _refine(states: Sequence, alphabet: OrderedAlphabet, trans: dict, label: dic
         count = len(nums)
 
 
-def _quotient(c, label: dict, sink):
-    """Merge the states of a complete machine that no word tells apart, canonically renumbered.
+def _quotient(m, label):
+    """Merge the reachable states of `m`, completed, that no word tells apart, canonically renumbered.
 
-    States merge when every word leads them to equal labels.  The block of
-    the completion `sink` (None if completion added none) is dropped, so
-    transitions into it go missing again, unless it holds the start.
+    States of the completion `c` merge when every word leads them to equal
+    labels ``label(c)``.  The block of its dead state, ``c.states[-1]``, is
+    dropped, so transitions into it go missing again, unless it holds the start.
     """
-    block = _refine(c.reachable(), c.alphabet, c.trans, label)
+    c = m.completed()
+    block = _refine(c.reachable(), c.alphabet, c.trans, label(c))
     blocks = dict.fromkeys(block.values())  # ids count up in BFS order, which is the quotient's BFS order
-    if sink is not None and block[sink] != block[c.start]:
-        del blocks[block[sink]]
+    sink = block.get(c.states[-1]) if c is not m else None  # None too if the dead state is unreachable
+    if sink not in (None, block[c.start]):
+        del blocks[sink]
     name = {b: f"q{i}" for i, b in enumerate(blocks)}
     return c._renamed({q: name[b] for q, b in block.items() if b in name})
 
 
 def minimize(a: Dfa) -> Dfa:
     """Minimal partial DFA for the language of `a`, canonically renumbered."""
-    t = a.trimmed()
-    c = t.completed()
-    return _quotient(c, {q: q in c.finals for q in c.states}, None if c is t else c.states[-1])
+    return _quotient(a.trimmed(), lambda c: {q: q in c.finals for q in c.states})
 
 
 def reduce_dfao(m: Dfao) -> Dfao:
     """Accessible DFAO merging states indistinguishable by future outputs.
 
-    Two states merge exactly when every word leads them to equal outputs;
-    missing transitions count as a distinct placeholder behavior.
+    Two states merge exactly when every word leads them to equal outputs,
+    missing transitions counting as ``BOTTOM``; only kept outputs are declared.
     """
-    acc = m.accessible()
-    c = acc.completed()
-    r = _quotient(c, c.output, None if c is acc else c.states[-1])
-    return replace(r, output_alphabet=_outputs_in_use(r.output_alphabet, r.output.values()))
+    return _quotient(m, lambda c: c.output)
 
 
 def is_empty(a: Dfa) -> bool:
@@ -416,10 +409,9 @@ def is_infinite(a: Dfa) -> bool:
 
 def distinguishing_word(a: Dfa, b: Dfa) -> Word | None:
     """Shortlex-least word accepted by exactly one of the two DFAs, or None."""
-    ca, cb = a.completed(), b.completed()
-    order, _, word = _reachable_product((ca, cb))
+    order, _, word = _reachable_product((a, b))
     for p, q in order:
-        if (p in ca.finals) != (q in cb.finals):
+        if (p in a.finals) != (q in b.finals):
             return word[(p, q)]
     return None
 
@@ -430,10 +422,9 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 
 def _boolean_product(a: Dfa, b: Dfa, keep) -> Dfa:
-    ca, cb = a.completed(), b.completed()
-    order, trans, _ = _reachable_product((ca, cb))
-    finals = frozenset(pq for pq in order if keep(pq[0] in ca.finals, pq[1] in cb.finals))
-    p = Dfa(ca.alphabet, tuple(order), order[0], finals, trans)
+    order, trans, _ = _reachable_product((a, b))
+    finals = frozenset(pq for pq in order if keep(pq[0] in a.finals, pq[1] in b.finals))
+    p = Dfa(a.alphabet, tuple(order), order[0], finals, trans)
     # a live state's least access word passes through live states only, so
     # `order` keeps the trimmed machine's breadth-first order
     live = p.coaccessible() | {p.start}

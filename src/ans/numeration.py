@@ -168,9 +168,11 @@ class NumerationSystem:
         where the words of length m grow at least linearly in m, a word
         costs amortized constant work.  Each leaf yields the stack, whose
         levels hold the chains that reached them, its own chain and the
-        carried state.  The walk starts at `word`, an accepted word, or else
-        at the least word.  Accepted lengths from a live state are at most
-        #states apart, so #states + 1 empty lengths in a row end it.
+        carried state.  The bottom level's one child is the root, reached by
+        the empty chain, so each tree is entered by the one descent step.
+        The walk starts at `word`, an accepted word, or else at the least
+        word.  Accepted lengths from a live state are at most #states apart,
+        so #states + 1 empty lengths in a row end it.
         """
         counts, succ = self._counts, self._succ
 
@@ -216,15 +218,8 @@ class NumerationSystem:
                 if zeros > len(self.language.states):
                     return
             near = {}
-            if not m:
-                word = None
-                yield [(None, (), carried)], (), carried  # the empty word, under a root with no children
-                continue
-            row = kids.get((root, m)) or branches(root, m)
-            if word is not None:  # enter the first tree along the word, not its least word
-                row = row[[k[0][0] for k in row].index(word[0]) :]
             # per stacked node: its children left, the chain that reached it and its carried state
-            stack = [(iter(row), (), carried)]
+            stack = [(iter((((), root, m, {}),)), (), carried)]  # the root, as a one-child bottom level
             while stack:
                 it, _, c0 = stack[-1]
                 for letters, q, r, ends in it:

@@ -29,7 +29,6 @@ from .automata import (
     _require_same_alphabet,
     intersect,
     minimize,
-    reduce_dfao,
 )
 from .errors import AnsError, KernelBoundError, PartitionError
 from .numeration import NumerationSystem
@@ -87,10 +86,10 @@ class AutomaticSequence:
 
 
 def fiber(u: AutomaticSequence, a) -> Dfa:
-    """Minimal DFA for the representations whose output is `a`."""
-    if a not in set(u.machine.output_alphabet):
+    """Minimal DFA for the representations whose output is `a` (``⊥`` where the run dies)."""
+    if a not in u.output_alphabet:
         raise AnsError(f"symbol {a!r} is not in the output alphabet")
-    return minimize(intersect(u.machine.as_acceptor({a}), u.system.language))
+    return minimize(intersect(u._complete.as_acceptor({a}), u.system.language))
 
 
 def dfao_from_fibers(system: NumerationSystem, fibers: dict) -> Dfao:
@@ -110,8 +109,8 @@ def dfao_from_fibers(system: NumerationSystem, fibers: dict) -> Dfao:
     symbols = tuple(fibers)
     if not symbols:
         raise PartitionError("no fibers given")
-    lang = system.language.completed()
-    parts = [fibers[a].completed() for a in symbols]
+    lang = system.language
+    parts = [fibers[a] for a in symbols]
     order, trans, word = _reachable_product([lang, *parts])
     out = {}
     overlap = gap = None
@@ -136,21 +135,19 @@ def dfao_from_fibers(system: NumerationSystem, fibers: dict) -> Dfao:
     name = {p: f"q{i}" for i, p in enumerate(out)}
     out_alpha = symbols if BOTTOM in symbols or BOTTOM not in out.values() else symbols + (BOTTOM,)
     machine = Dfao(system.alphabet, tuple(order), order[0], trans, {q: out[q[1:]] for q in order}, out_alpha)
-    return machine._renamed({q: name[q[1:]] for q in order})
+    return machine._renamed({q: name[q[1:]] for q in order}, output_alphabet=out_alpha)
 
 
 @dataclass(frozen=True)
 class KernelClass:
     """One class of prefixes inducing the same suffix subsequence.
 
-    `representative_prefix` is the shortlex-least member; `pair_state` is
-    the (language state, machine state) pair it reaches in the canonical
-    automata; `empty` flags prefixes that no word of the language extends.
+    `representative_prefix` is the shortlex-least member; `empty` flags
+    prefixes that no word of the language extends.
     """
 
     class_id: int
     representative_prefix: Word
-    pair_state: tuple
     empty: bool
 
 
@@ -159,12 +156,13 @@ def kernel(u: AutomaticSequence) -> tuple[KernelClass, ...]:
 
     Two prefixes w, w' are identified when they admit the same accepted
     continuations and the machine outputs agree on all of them — decided
-    exactly, by partition refinement over the pair automaton of the minimal
-    language automaton and the reduced output machine (outputs masked at
-    non-accepting language states, where they can never be observed).
+    exactly, by partition refinement over the pair automaton of the
+    language and the completed machine (outputs masked at non-accepting
+    language states, where they can never be observed).  The classes are a
+    property of the sequence, so any automata recognizing it give the same
+    ones, with the same least members.
     """
-    lang = minimize(u.system.language).completed()
-    mach = reduce_dfao(u.machine).completed()
+    lang, mach = u.system.language, u._complete
     alive = lang.coaccessible()
     pairs, trans, word = _reachable_product((lang, mach))
     label = {(ql, qm): (True, mach.output[qm]) if ql in lang.finals else (False, None) for ql, qm in pairs}
@@ -173,7 +171,7 @@ def kernel(u: AutomaticSequence) -> tuple[KernelClass, ...]:
     first = {}
     for q in pairs:
         first.setdefault(block[q], q)
-    return tuple(KernelClass(i, word[q], q, q[0] not in alive) for i, q in enumerate(first.values()))
+    return tuple(KernelClass(i, word[q], q[0] not in alive) for i, q in enumerate(first.values()))
 
 
 def subsequence(u: AutomaticSequence, k: KernelClass) -> SequenceStream:

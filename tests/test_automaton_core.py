@@ -8,6 +8,7 @@ and ``distinguishable`` marks state pairs by table filling.
 """
 
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings, strategies as st
@@ -28,6 +29,7 @@ from ans import (
     minimize,
     reduce_dfao,
 )
+from ans import automata as automata_module, sequences as sequences_module
 
 from conftest import AB
 
@@ -77,7 +79,7 @@ def dfaos(draw, sigma=None, outputs=("0", "1", "2", BOTTOM)):
 
 
 @st.composite
-def sequences(draw):
+def sequences(draw, outputs=("0", "1", "2")):
     """An automatic sequence over a random infinite language."""
     sigma = draw(alphabets())
     lang = draw(dfas(sigma))
@@ -85,7 +87,7 @@ def sequences(draw):
         system = NumerationSystem(lang)
     except FiniteLanguageError:
         assume(False)
-    return AutomaticSequence(system, draw(dfaos(sigma, ("0", "1", "2"))))
+    return AutomaticSequence(system, draw(dfaos(sigma, outputs)))
 
 
 # -- exhaustive oracles ---------------------------------------------------------
@@ -170,6 +172,8 @@ def test_reduce_dfao_keeps_outputs_and_is_idempotent(m):
     r = reduce_dfao(m)
     assert least_word((m, r), lambda q: out(m, q[0]) != out(r, q[1])) is None
     assert reduce_dfao(r) == r
+    # only the outputs of the kept states are declared, in the input's order
+    assert r.output_alphabet == tuple(d for d in m.output_alphabet if d in r.output.values())
 
 
 # -- distinguishing_word -----------------------------------------------------------
@@ -218,6 +222,24 @@ def test_kernel_representatives_are_distinct_least_and_sorted(u):
         assert k.empty == (not alive)
 
 
+@seed(37)
+@CORE
+@given(sequences(("0", "1", BOTTOM)))
+def test_kernel_refines_once_with_the_classes_of_the_canonical_machines(u):
+    real, calls = automata_module._refine, []
+
+    def counted(*a):
+        calls.append(a)
+        return real(*a)
+
+    with patch.object(automata_module, "_refine", counted), patch.object(sequences_module, "_refine", counted):
+        ks = kernel(u)
+    assert len(calls) == 1  # the pair product itself, without quotients of its factors first
+    canonical = AutomaticSequence(NumerationSystem(minimize(u.system.language)), reduce_dfao(u.machine))
+    fields = lambda ks: [(k.class_id, k.representative_prefix, k.empty) for k in ks]
+    assert fields(ks) == fields(kernel(canonical))
+
+
 # -- dfao_from_fibers ------------------------------------------------------------------
 
 
@@ -237,6 +259,16 @@ def test_fibers_rebuild_the_sequence_or_name_the_least_gap(u):
     assert least_word(
         (lang, mach, rebuilt), lambda q: accepts(lang, q[0]) and out(mach, q[1]) != out(rebuilt, q[2])
     ) is None
+    assert AutomaticSequence(u.system, rebuilt).prefix(40) == u.prefix(40)
+
+
+@seed(38)
+@CORE
+@given(st.one_of(sequences(), sequences(("0", "1", BOTTOM))))
+def test_fibers_of_every_stream_symbol_rebuild_the_sequence(u):
+    # where a run dies the stream reads ⊥, and so does the ⊥ fiber, declared or not
+    fibers = {d: fiber(u, d) for d in u.output_alphabet}
+    rebuilt = dfao_from_fibers(u.system, fibers)
     assert AutomaticSequence(u.system, rebuilt).prefix(40) == u.prefix(40)
 
 

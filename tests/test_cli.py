@@ -149,20 +149,35 @@ def test_fibers_to_dfao_argument_errors(files, capsys):
     assert "repeats symbol" in err
 
 
-def test_fibers_to_dfao_takes_a_bottom_fiber(files, capsys, tmp_path):
-    # a complete machine may declare ⊥ as an output; its fiber rebuilds like any other
-    machine, rebuilt = tmp_path / "parity.dfao", tmp_path / "rebuilt.dfao"
-    trans = {(q, a): {"e": "o", "o": "e"}[q] for q in "eo" for a in "ab"}
-    machine.write_text(ff.format_dfao(ans.Dfao(AB, ("e", "o"), "e", trans, {"e": "⊥", "o": "1"}, ("⊥", "1"))))
+def rebuilt_from_fibers(files, capsys, tmp_path, m, symbols):
+    """`seq` of machine `m` and of its rebuild from the `fiber` of each symbol, through the CLI."""
+    machine, rebuilt = tmp_path / "machine.dfao", tmp_path / "rebuilt.dfao"
+    machine.write_text(ff.format_dfao(m))
     argv = ["fibers-to-dfao", "-s", files["lang"], "-o", str(rebuilt)]
-    for symbol in ("⊥", "1"):
+    for symbol in symbols:
         path = tmp_path / f"f{symbol}.dfa"
         run_ok(capsys, ["fiber", "-s", files["lang"], "-m", str(machine), "--symbol", symbol, "-o", str(path)])
         argv += ["--fiber", f"{symbol}={path}"]
     run_ok(capsys, argv)
-    want = run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(machine), "--count", "50"])
+    return tuple(run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(p), "--count", "50"]) for p in (machine, rebuilt))
+
+
+def test_fibers_to_dfao_takes_a_bottom_fiber(files, capsys, tmp_path):
+    # a complete machine may declare ⊥ as an output; its fiber rebuilds like any other
+    trans = {(q, a): {"e": "o", "o": "e"}[q] for q in "eo" for a in "ab"}
+    m = ans.Dfao(AB, ("e", "o"), "e", trans, {"e": "⊥", "o": "1"}, ("⊥", "1"))
+    want, got = rebuilt_from_fibers(files, capsys, tmp_path, m, ("⊥", "1"))
     assert want.startswith("⊥11⊥⊥⊥1111⊥")
-    assert run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(rebuilt), "--count", "50"]) == want
+    assert got == want
+
+
+def test_bottom_fiber_of_a_partial_machine_covers_its_dead_runs(files, capsys, tmp_path):
+    # y outputs ⊥ and has no move on b: the ⊥ fiber holds y's words and the words whose run dies
+    trans = {("x", "a"): "y", ("y", "a"): "x", ("x", "b"): "x"}
+    m = ans.Dfao(AB, ("x", "y"), "x", trans, {"x": "0", "y": "⊥"}, ("0", "⊥"))
+    want, got = rebuilt_from_fibers(files, capsys, tmp_path, m, ("0", "⊥"))
+    assert want.startswith("0⊥00⊥0⊥0⊥00⊥0⊥0⊥0⊥0⊥")
+    assert got == want
 
 
 def test_kernel_text(files, capsys):

@@ -87,6 +87,7 @@ RUNS = {
     "seq-alphabet-mismatch": "seq -s <tmp>/bin.dfa -m <tmp>/teach.dfao --count 5",
     "fiber": "fiber -s <tmp>/ab.dfa -m <tmp>/teach.dfao --symbol 2",
     "fiber-unknown-symbol": "fiber -s <tmp>/ab.dfa -m <tmp>/teach.dfao --symbol 9",
+    "fiber-bottom-partial": "fiber -s <tmp>/ab.dfa -m <tmp>/partial.dfao --symbol ⊥",
     "fibers-to-dfao": "fibers-to-dfao -s <tmp>/bin.dfa --fiber 0=<tmp>/tm0.dfa --fiber 1=<tmp>/tm1.dfa",
     "fibers-to-dfao-gap": "fibers-to-dfao -s <tmp>/bin.dfa --fiber 0=<tmp>/tm0.dfa",
     "kernel": "kernel -s <tmp>/ab.dfa -m <tmp>/teach.dfao --terms 6",
