@@ -24,7 +24,6 @@ first state of any set in that order carries the set's least word.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -115,15 +114,12 @@ class _Machine:
         """States reachable from the start, in breadth-first alphabet order."""
         order = [self.start]
         seen = {self.start}
-        queue = deque(order)
-        while queue:
-            q = queue.popleft()
+        for q in order:
             for a in self.alphabet:
                 q2 = self.trans.get((q, a))
                 if q2 is not None and q2 not in seen:
                     seen.add(q2)
                     order.append(q2)
-                    queue.append(q2)
         return tuple(order)
 
     def is_complete(self) -> bool:
@@ -195,19 +191,20 @@ class Dfa(_Machine):
         for (q, _a), q2 in self.trans.items():
             back[q2].add(q)
         alive = set(self.finals)
-        queue = deque(alive)
-        while queue:
-            q = queue.popleft()
+        order = list(alive)
+        for q in order:
             for p in back[q]:
                 if p not in alive:
                     alive.add(p)
-                    queue.append(p)
+                    order.append(p)
         return frozenset(alive)
 
     def trimmed(self) -> "Dfa":
-        """Restrict to accessible-and-coaccessible states (start always kept)."""
+        """Restrict to accessible-and-coaccessible states (start always kept); `self` if every state is kept."""
         keep = set(self.reachable()) & self.coaccessible()
         keep.add(self.start)
+        if len(keep) == len(self.states):
+            return self
         return self._renamed({q: q for q in self.states if q in keep})
 
     def _renamed_fields(self, name: dict) -> dict:

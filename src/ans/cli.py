@@ -19,6 +19,7 @@ import sys
 from . import fileformat as ff
 from .automata import Dfa, Dfao, OrderedAlphabet, distinguishing_word, minimize, reduce_dfao
 from .complexity import (
+    GROWTH_CLASSES,
     WITNESS_N_MAX,
     binomial_word,
     factor_count,
@@ -292,12 +293,12 @@ def cmd_witness_quadratic(args):
         f"(threshold {report.exponent_threshold}): {_verdict(report.exponent_ok)}"
     )
     print(f"passed: {_verdict(report.passed)}")
-    print("reference growth classes: " + ", ".join(report.to_dict()["growth_classes"]))
+    print("reference growth classes: " + ", ".join(GROWTH_CLASSES))
 
 
 def cmd_binomial_word(args):
     bw = binomial_word(args.count)
-    check = super_quadratic_check(args.count) if args.check else None
+    check = super_quadratic_check(args.count, bw.bits) if args.check else None
     if args.json:
         obj = bw.to_dict()
         if check is not None:
@@ -429,7 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complexity", help="distinct-block counts of a sequence prefix")
     _add_system(p, machine=True)
-    p.add_argument("--prefix", type=_positive, required=True)
+    p.add_argument(
+        "--prefix", type=_positive, required=True,
+        help="terms profiled; builds one suffix automaton over them, so time and memory grow linearly in PREFIX",
+    )
     p.add_argument("--nmax", type=_positive, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_complexity)

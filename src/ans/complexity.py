@@ -70,6 +70,13 @@ def _suffix_automaton(seq: list) -> tuple[list[int], list[int]]:
     return sa_len, sa_link
 
 
+def _profile_json(prefix: int, ns: Iterable[int], counts: Iterable[int], verdicts: dict) -> dict:
+    """The JSON head the growth reports share: block lengths, their counts, count/n² and verdicts."""
+    ns, counts = list(ns), list(counts)
+    ratios = [c / n**2 for n, c in zip(ns, counts)]
+    return {"prefix": prefix, "n": ns, "p": counts, "ratios": ratios, "verdicts": verdicts}
+
+
 @dataclass(frozen=True)
 class ComplexityProfile:
     """Distinct-block counts of one prefix, by block length.
@@ -92,14 +99,8 @@ class ComplexityProfile:
         return self.values[n - 1]
 
     def to_dict(self) -> dict:
-        return {
-            "prefix": self.prefix_length,
-            "n": list(range(1, len(self.values) + 1)),
-            "p": list(self.values),
-            "ratios": [v / n**2 for n, v in enumerate(self.values, start=1)],
-            "verdicts": {},
-            "exactness_horizon": self.exactness_horizon,
-        }
+        head = _profile_json(self.prefix_length, range(1, len(self.values) + 1), self.values, {})
+        return {**head, "exactness_horizon": self.exactness_horizon}
 
 
 def factor_count(stream: Iterable, prefix_length: int, n_max: int) -> ComplexityProfile:
@@ -255,15 +256,8 @@ class UpperBoundReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "prefix": self.prefix_length,
-            "n": list(range(1, self.n_max + 1)),
-            "p": list(self.values),
-            "ratios": [self.values[n - 1] / n**2 for n in range(1, self.n_max + 1)],
-            "verdicts": {"passed": self.passed},
-            "constant": self.constant,
-            "doubling_violations": list(self.doubling_violations),
-        }
+        head = _profile_json(self.prefix_length, range(1, self.n_max + 1), self.values, {"passed": self.passed})
+        return {**head, "constant": self.constant, "doubling_violations": list(self.doubling_violations)}
 
 
 def upper_bound_check(u, n_max: int, prefix_length: int = 10_000) -> UpperBoundReport:
@@ -335,15 +329,9 @@ class SuperQuadraticReport:
     verdict: str  # "pass" | "fail" | "inconclusive"
 
     def to_dict(self) -> dict:
-        return {
-            "prefix": self.n_terms,
-            "n": list(self.grid),
-            "p": [round(r * n**2) for r, n in zip(self.ratios, self.grid)],
-            "ratios": list(self.ratios),
-            "verdicts": {"verdict": self.verdict},
-            "growth_factor": self.growth_factor,
-            "threshold": self.threshold,
-        }
+        counts = [round(r * n**2) for r, n in zip(self.ratios, self.grid)]
+        head = _profile_json(self.n_terms, self.grid, counts, {"verdict": self.verdict})
+        return {**head, "growth_factor": self.growth_factor, "threshold": self.threshold}
 
 
 def super_quadratic_check(n_terms: int, stream: Iterable | None = None) -> SuperQuadraticReport:

@@ -41,7 +41,7 @@ class NumerationSystem:
         }
         self._counts: dict = {q: [1 if q in lang.finals else 0] for q in lang.states}
         self._filled = 0  # largest length already present in every row
-        self._cum = [self._counts[lang.start][0]]  # cumulative counts for the start state
+        self._cum = [0, self._counts[lang.start][0]]  # _cum[m] counts the accepted words shorter than m
 
     # -- counting ---------------------------------------------------------
 
@@ -68,7 +68,7 @@ class NumerationSystem:
         if n < 0:
             raise ValueError("ranks are nonnegative")
         length = self._length_of_rank(n)
-        remaining = n - (self._cum[length - 1] if length else 0)
+        remaining = n - self._cum[length]
         counts = self._counts
         q = self.language.start
         out = []
@@ -88,7 +88,7 @@ class NumerationSystem:
     def _length_of_rank(self, n: int) -> int:
         while self._cum[-1] <= n:
             self._ensure(self._filled + 1)
-        return bisect_right(self._cum, n)
+        return bisect_right(self._cum, n) - 1
 
     def val(self, word) -> int:
         """Rank of an accepted word; raises NotInLanguageError otherwise."""
@@ -106,7 +106,7 @@ class NumerationSystem:
         self._ensure(length)
         counts = self._counts
         lang = self.language
-        rank = self._cum[length - 1] if length else 0
+        rank = self._cum[length]
         q = lang.start
         for i, a in enumerate(word):
             rest = length - i - 1

@@ -174,7 +174,7 @@ def substitution_of(u: AutomaticSequence) -> Substitution:
     machine: the coding erases the fresh seed and every pair whose language
     side is not final, and otherwise emits the machine side's output.
     """
-    prod = product(u.system.language, u.machine)
+    prod = product(u.system.language, u._complete)
     pairs = prod.dfao
     phi, alpha = state_morphism(pairs)
     h_images = {alpha: ()}
@@ -221,10 +221,7 @@ def system_from_morphism(phi: Morphism, seed, input_symbols=None) -> tuple[Numer
             raise ValueError(f"need exactly {width} input symbols (the widest image)")
     alphabet = OrderedAlphabet(input_symbols)
     states = phi.domain.symbols
-    trans = {}
-    for x in states:
-        for i, y in enumerate(phi.images[x]):
-            trans[(x, input_symbols[i])] = y
+    trans = {(x, input_symbols[i]): y for x, img in phi.images.items() for i, y in enumerate(img)}
     language = Dfa(alphabet, states, seed, frozenset(states), trans)
     machine = Dfao(alphabet, states, seed, dict(trans), {x: x for x in states}, states)
     return NumerationSystem(language), machine
@@ -251,8 +248,6 @@ def is_substitution_morphism(mapping: dict, t1: Substitution, t2: Substitution) 
     if {m[d] for d in delta1} != set(t2.coding.codomain.symbols):
         return False
     for x in sigma1:
-        if m[x] not in t2.phi.domain:
-            return False
         if tuple(m[y] for y in t1.phi.images[x]) != t2.phi.images[m[x]]:
             return False
         if tuple(m[d] for d in t1.coding.images[x]) != t2.coding.images[m[x]]:

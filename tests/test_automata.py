@@ -82,6 +82,19 @@ def test_trimmed_keeps_start():
     assert t.start == "p" and t.states == ("p",)
 
 
+def test_trimmed_is_the_machine_itself_when_it_keeps_every_state():
+    d = ab_star_dfa()
+    assert d.trimmed() is d
+    # "u" is unreachable and "x" reaches no final state
+    trans = {**d.trans, ("p", "a"): "x", ("x", "a"): "x", ("u", "a"): "p"}
+    wide = Dfa(AB, ("p", "q", "x", "u"), "p", d.finals, trans)
+    t = wide.trimmed()
+    assert t is not wide and wide.states == ("p", "q", "x", "u")
+    assert t.states == ("p", "q") and t.finals == d.finals
+    assert t.trans == {("p", "b"): "q", ("q", "b"): "q"}
+    assert t.trimmed() is t
+
+
 def test_minimize_collapses_redundant_states():
     # five states recognizing a*b* with duplicated live states
     d = Dfa(

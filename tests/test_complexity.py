@@ -132,6 +132,16 @@ def test_upper_bound_check_on_teaching(teaching):
     assert report.doubling_violations == ()
     assert report.constant > 0
     assert report.values == naive_counts(teaching.prefix(10_000), 40)
+    # the JSON report, key for key
+    d = report.to_dict()
+    assert list(d) == ["prefix", "n", "p", "ratios", "verdicts", "constant", "doubling_violations"]
+    assert d["prefix"] == 10_000
+    assert d["n"] == list(range(1, 41))
+    assert d["p"] == list(report.values)
+    assert d["ratios"] == [p / n**2 for n, p in zip(d["n"], d["p"])]
+    assert d["verdicts"] == {"passed": True}
+    assert d["constant"] == max(p / n**2 for n, p in zip(d["n"][1:], d["p"][1:]))
+    assert d["doubling_violations"] == []
 
 
 # -- the three-ones listing word ------------------------------------------------

@@ -114,6 +114,12 @@ def test_val_rejects_prefix_only():
         system.val(("a", "a"))
 
 
+def test_system_keeps_a_trimmed_language_as_given():
+    t = ab_star_dfa()
+    assert t.trimmed() is t
+    assert NumerationSystem(t).language is t
+
+
 def test_finite_language_rejected():
     finite = Dfa(AB, ("p", "q"), "p", frozenset({"q"}), {("p", "a"): "q"})
     with pytest.raises(FiniteLanguageError):
