@@ -29,7 +29,6 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError
 
-Symbol = Hashable
 State = Hashable
 Word = tuple
 
@@ -290,7 +289,8 @@ def _reachable_product(machines) -> tuple[list, dict, dict]:
 
     The machines must share one ordered alphabet.  Returns the tuples in
     breadth-first alphabet order (the shortlex order of their least access
-    words), the transitions between them, and each tuple's least access word.
+    words), the transitions between them, and each tuple's parent: the tuple
+    and letter that first reached it (None at the start), for ``_access_word``.
     """
     for m in machines[1:]:
         _require_same_alphabet(machines[0], m)
@@ -301,16 +301,24 @@ def _reachable_product(machines) -> tuple[list, dict, dict]:
     succs = [{q: tuple(m.trans[(q, s)] for s in alphabet) for q in m.states} for m in machines]
     start = tuple(m.start for m in machines)
     order = [start]
-    word = {start: ()}
+    parent = {start: None}
     trans = {}
     for q in order:
-        w = word[q]
         for s, nxt in zip(alphabet, zip(*[succ[p] for succ, p in zip(succs, q)])):
             trans[(q, s)] = nxt
-            if nxt not in word:
-                word[nxt] = w + (s,)
+            if nxt not in parent:
+                parent[nxt] = (q, s)
                 order.append(nxt)
-    return order, trans, word
+    return order, trans, parent
+
+
+def _access_word(parent: dict, q) -> Word:
+    """The least word leading to `q`, read back along the parent links of ``_reachable_product``."""
+    word = []
+    while parent[q]:
+        q, s = parent[q]
+        word.append(s)
+    return tuple(reversed(word))
 
 
 def product(a: Dfa, b: Dfao) -> ProductMachine:
@@ -391,25 +399,22 @@ def is_infinite(a: Dfa) -> bool:
     for q2 in t.trans.values():
         indegree[q2] += 1
     free = [q for q in t.states if not indegree[q]]
-    left = len(t.states)
-    while free:
-        q = free.pop()
-        left -= 1
+    for q in free:
         for s in t.alphabet:
             q2 = t.trans.get((q, s))
             if q2 is not None:
                 indegree[q2] -= 1
                 if not indegree[q2]:
                     free.append(q2)
-    return left > 0
+    return len(free) < len(t.states)
 
 
 def distinguishing_word(a: Dfa, b: Dfa) -> Word | None:
     """Shortlex-least word accepted by exactly one of the two DFAs, or None."""
-    order, _, word = _reachable_product((a, b))
+    order, _, parent = _reachable_product((a, b))
     for p, q in order:
         if (p in a.finals) != (q in b.finals):
-            return word[(p, q)]
+            return _access_word(parent, (p, q))
     return None
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from itertools import combinations, count, groupby, islice
+from itertools import accumulate, combinations, count, groupby, islice
 from typing import Iterable, Iterator
 
 from .automata import OrderedAlphabet
@@ -112,22 +112,13 @@ def factor_count(stream: Iterable, prefix_length: int, n_max: int) -> Complexity
     prefix = list(islice(iter(stream), prefix_length))
     m = len(prefix)
     sa_len, sa_link = _suffix_automaton(prefix)
-    diff = [0] * (m + 2)
+    diff = [0] * (max(m, n_max) + 2)  # no block is longer than m: p(n) = 0 for n > m
     for i in range(1, len(sa_len)):
         diff[sa_len[sa_link[i]] + 1] += 1
         diff[sa_len[i] + 1] -= 1
-    values = []
-    acc = 0
-    for n in range(1, n_max + 1):
-        acc += diff[n] if n <= m + 1 else 0
-        values.append(acc if n <= m else 0)
-    horizon = 0
-    for n in range(1, n_max + 1):
-        if n <= m and values[n - 1] < m - n + 1:
-            horizon = n
-        else:
-            break
-    return ComplexityProfile(len(prefix), tuple(values), horizon)
+    values = tuple(accumulate(diff[1 : n_max + 1]))
+    horizon = next((n - 1 for n, v in enumerate(values, 1) if v > m - n), n_max)  # all m - n + 1 windows differ
+    return ComplexityProfile(m, values, horizon)
 
 
 _WITNESS = Morphism(
@@ -222,7 +213,7 @@ def quadratic_witness_check(
     embedding_ok = all(pv.values[i] >= pw.values[i] for i in range(n_max))
     runs = _longest_runs(list(w_prefix))
     run_letter, longest_run = max(runs.items(), key=lambda kv: kv[1])
-    run_bound = int(math.log2(len(w_prefix))) if w_prefix else 0
+    run_bound = int(math.log2(len(w_prefix)))
     runs_ok = longest_run >= run_bound
     exponent = _fit_exponent(pw.values, 8, n_max)
     threshold = 1.7
@@ -343,7 +334,7 @@ def super_quadratic_check(n_terms: int, stream: Iterable | None = None) -> Super
     standard example whose growth beats every quadratic bound.
     """
     prefix = take(binomial_bits() if stream is None else stream, n_terms)
-    top = min(256, math.isqrt(len(prefix))) if prefix else 0
+    top = min(256, math.isqrt(len(prefix)))
     grid = []
     n = 4
     while n <= top:

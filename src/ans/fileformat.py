@@ -293,6 +293,8 @@ def _letter_names(letters, prefix: str) -> dict:
 
 
 def format_morphism(m: Morphism, axiom) -> str:
+    if stray := [y for y in (axiom, *m.apply(m.domain)) if y not in m.domain]:
+        raise AnsError(f"letter {stray[0]!r} has no image line: the file parser would not read it back")
     names = _letter_names(m.domain.symbols, "s")
     lines = []
     if any(names[x] != x for x in m.domain):
@@ -301,7 +303,7 @@ def format_morphism(m: Morphism, axiom) -> str:
     lines.append(f"axiom: {names[axiom]}")
     for x in m.domain:
         img = m.images[x]
-        rhs = " ".join(names.get(y, str(y)) for y in img) if img else EPS
+        rhs = " ".join(names[y] for y in img) if img else EPS
         lines.append(f"{names[x]} -> {rhs}")
     return "\n".join(lines) + "\n"
 

@@ -40,19 +40,16 @@ class NumerationSystem:
             for q in lang.states
         }
         self._counts: dict = {q: [1 if q in lang.finals else 0] for q in lang.states}
-        self._filled = 0  # largest length already present in every row
         self._cum = [0, self._counts[lang.start][0]]  # _cum[m] counts the accepted words shorter than m
 
     # -- counting ---------------------------------------------------------
 
     def _ensure(self, length: int):
-        counts = self._counts
-        while self._filled < length:
-            m = self._filled
+        counts, cum = self._counts, self._cum
+        while (m := len(cum) - 2) < length:  # m: the longest length that every row holds
             for q, row in counts.items():
                 row.append(sum(counts[q2][m] for _a, q2 in self._succ[q]))
-            self._filled = m + 1
-            self._cum.append(self._cum[-1] + counts[self.language.start][m + 1])
+            cum.append(cum[-1] + counts[self.language.start][m + 1])
 
     def count_words(self, length: int) -> int:
         """Number of accepted words of exactly the given length."""
@@ -87,7 +84,7 @@ class NumerationSystem:
 
     def _length_of_rank(self, n: int) -> int:
         while self._cum[-1] <= n:
-            self._ensure(self._filled + 1)
+            self._ensure(len(self._cum) - 1)
         return bisect_right(self._cum, n) - 1
 
     def val(self, word) -> int:

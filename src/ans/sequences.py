@@ -24,6 +24,7 @@ from .automata import (
     Dfa,
     Dfao,
     Word,
+    _access_word,
     _reachable_product,
     _refine,
     _require_same_alphabet,
@@ -111,7 +112,7 @@ def dfao_from_fibers(system: NumerationSystem, fibers: dict) -> Dfao:
         raise PartitionError("no fibers given")
     lang = system.language
     parts = [fibers[a] for a in symbols]
-    order, trans, word = _reachable_product([lang, *parts])
+    order, trans, parent = _reachable_product([lang, *parts])
     out = {}
     overlap = gap = None
     for q in order:
@@ -119,7 +120,7 @@ def dfao_from_fibers(system: NumerationSystem, fibers: dict) -> Dfao:
         if len(hits) > 1 and (overlap is None or hits[:2] < overlap):
             overlap = hits[:2]
         if gap is None and bool(hits) != (q[0] in lang.finals):
-            gap = word[q]
+            gap = _access_word(parent, q)
         out.setdefault(q[1:], symbols[hits[0]] if hits else BOTTOM)
     if overlap is not None:
         raise PartitionError(f"fibers for {symbols[overlap[0]]!r} and {symbols[overlap[1]]!r} overlap")
@@ -164,14 +165,14 @@ def kernel(u: AutomaticSequence) -> tuple[KernelClass, ...]:
     """
     lang, mach = u.system.language, u._complete
     alive = lang.coaccessible()
-    pairs, trans, word = _reachable_product((lang, mach))
+    pairs, trans, parent = _reachable_product((lang, mach))
     label = {(ql, qm): (True, mach.output[qm]) if ql in lang.finals else (False, None) for ql, qm in pairs}
     block = _refine(pairs, u.system.alphabet, trans, label)
     # blocks in order of their first pair, whose access word is the least
     first = {}
     for q in pairs:
         first.setdefault(block[q], q)
-    return tuple(KernelClass(i, word[q], q[0] not in alive) for i, q in enumerate(first.values()))
+    return tuple(KernelClass(i, _access_word(parent, q), q[0] not in alive) for i, q in enumerate(first.values()))
 
 
 def subsequence(u: AutomaticSequence, k: KernelClass) -> SequenceStream:
@@ -189,7 +190,8 @@ def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, 
     Prefixes are explored breadth-first and identified when they agree on
     their first `bound` accepted continuations (the continuation words and
     the terms at them).  More than `bound` distinct classes, or a rebuilt
-    machine that fails to reproduce the first `bound` terms, raises
+    machine that fails to reproduce the first `bound` terms (asked of `term`
+    again: a guard against answers that change between calls), raises
     KernelBoundError: the sequence is not recognized within this bound.
     """
     if bound < 1:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
@@ -242,3 +243,21 @@ def test_product_is_complete():
         ("0", "1"),
     ))
     assert pm.dfao.is_complete()
+
+
+def test_counter_products_keep_parent_links_not_access_words():
+    # two 8,000-state counters (a counts up mod n, b resets) pair up state by
+    # state; their least access words, a^i, hold 32 million letters in all
+    n = 8_000
+    trans = {(i, "a"): (i + 1) % n for i in range(n)} | {(i, "b"): 0 for i in range(n)}
+    a, b = Dfa(AB, range(n), 0, {n - 1}, trans), Dfa(AB, range(n), 0, {n - 2}, trans)
+    assert distinguishing_word(a, b) == ("a",) * (n - 2)
+    m = Dfao(AB, range(n), 0, trans, {i: i % 2 for i in range(n)}, (0, 1))
+    tracemalloc.start()
+    try:
+        pm = product(a, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pm.dfao.states) == n
+    assert peak <= 10 * 2**20

@@ -242,6 +242,18 @@ def test_morphism_roundtrip():
     assert [f"s{x}" for x in w] == list(w2)
 
 
+def test_format_morphism_refuses_what_the_parser_cannot_read_back():
+    # an image letter outside the domain would have no image line of its own
+    phi = Morphism(OrderedAlphabet(("x",)), OrderedAlphabet(("x", "0")), {"x": ("x", "0")})
+    with pytest.raises(AnsError, match="letter '0' has no image line"):
+        format_morphism(phi, "x")
+
+
+def test_format_morphism_refuses_an_axiom_outside_the_domain():
+    with pytest.raises(AnsError, match="letter 3 has no image line"):
+        format_morphism(witness_morphism(), 3)
+
+
 def test_morphism_rejects_unknown_image_letter():
     with pytest.raises(FormatError, match="no image line"):
         parse_morphism("axiom: x\nx -> x z\n")

@@ -1,4 +1,4 @@
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from math import isqrt
 
 import pytest
@@ -233,6 +233,14 @@ def test_learner_recovers_teaching(teaching):
 def test_learner_bound_too_small(teaching):
     with pytest.raises(KernelBoundError, match="not recognized within bound"):
         dfao_from_kernel(teaching.term, teaching.system, 8)
+
+
+def test_learner_verification_catches_a_term_that_changes_between_calls(ab_system):
+    # the signatures make 16 calls, all "0": one class; rank 0 then reads "1"
+    calls = count()
+    with pytest.raises(KernelBoundError, match="disagrees with the term function at rank 0"):
+        dfao_from_kernel(lambda n: "0" if next(calls) < 16 else "1", ab_system, 4)
+    assert next(calls) == 17
 
 
 def test_learner_constant_sequence(ab_system):
