@@ -315,8 +315,8 @@ def _reachable_product(machines) -> tuple[list, dict, dict]:
 def _access_word(parent: dict, q) -> Word:
     """The least word leading to `q`, read back along the parent links of ``_reachable_product``."""
     word = []
-    while parent[q]:
-        q, s = parent[q]
+    while link := parent[q]:
+        q, s = link
         word.append(s)
     return tuple(reversed(word))
 
