@@ -113,18 +113,22 @@ def _verdict(ok: bool) -> str:
     return _styled("pass" if ok else "fail", ok)
 
 
-def _nonneg(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
+def _at_least(text: str, least: int, what: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be {what}")
     return n
+
+
+def _nonneg(text: str) -> int:
+    return _at_least(text, 0, "nonnegative")
 
 
 def _positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return n
+    return _at_least(text, 1, "positive")
 
 
 # -- subcommands ------------------------------------------------------------
@@ -240,7 +244,7 @@ def cmd_subst(args):
 def cmd_from_morphism(args):
     phi, axiom = ff.parse_morphism(_read(args.morphism), args.morphism)
     symbols = None
-    if args.symbols:
+    if args.symbols is not None:
         symbols = args.symbols.split() if any(c.isspace() for c in args.symbols) else list(args.symbols)
         for s in symbols:  # symbols the file parser would refuse to read back
             if not ff._declarable(s):
@@ -332,16 +336,65 @@ def cmd_reduce(args):
 
 
 # -- parser -----------------------------------------------------------------
+# One row per subcommand, in `ans --help` order: name, handler, help, and the
+# (flags, add_argument keywords) of each argument in usage order.
 
 
-def _add_system(p, machine: bool = False):
-    p.add_argument("-s", "--system", required=True, metavar="DFA", help="numeration language file")
-    if machine:
-        p.add_argument("-m", "--machine", required=True, metavar="DFAO", help="output machine file")
+def _arg(*flags: str, **kw) -> tuple:
+    return flags, kw
 
 
-def _add_output(p):
-    p.add_argument("-o", "--output", metavar="PATH", help="write to a file instead of stdout")
+SYSTEM = _arg("-s", "--system", required=True, metavar="DFA", help="numeration language file")
+MACHINE = _arg("-m", "--machine", required=True, metavar="DFAO", help="output machine file")
+OUTPUT = _arg("-o", "--output", metavar="PATH", help="write to a file instead of stdout")
+JSON = _arg("--json", action="store_true")
+MORPHISM = _arg("morphism", help="morphism file with an axiom line")
+
+COMMANDS = (
+    ("rep", cmd_rep, "representation word of one or more ranks",
+     [SYSTEM, _arg("rank", nargs="+", type=_nonneg)]),
+    ("val", cmd_val, "rank of a representation word",
+     [SYSTEM, _arg("word", help="word over the alphabet, or @eps")]),
+    ("enum", cmd_enum, "list accepted words in shortlex order",
+     [SYSTEM, _arg("--count", type=_nonneg, required=True), _arg("--start", type=_nonneg, default=0), JSON]),
+    ("seq", cmd_seq, "terms of the machine sequence",
+     [SYSTEM, MACHINE, _arg("--count", type=_nonneg, required=True), JSON]),
+    ("fiber", cmd_fiber, "DFA of representations sharing one output",
+     [SYSTEM, MACHINE, _arg("--symbol", required=True), OUTPUT]),
+    ("fibers-to-dfao", cmd_fibers_to_dfao, "rebuild a machine from per-symbol DFAs",
+     [SYSTEM, _arg("--fiber", action="append", required=True, metavar="SYMBOL=PATH"), OUTPUT]),
+    ("kernel", cmd_kernel, "distinct suffix subsequences of the sequence",
+     [SYSTEM, MACHINE, _arg("--terms", type=_nonneg, default=20, help="terms shown per class"), JSON]),
+    ("kernel-to-dfao", cmd_kernel_to_dfao, "relearn a machine from the sequence terms",
+     [SYSTEM, MACHINE, _arg(
+         "--bound", type=_positive, required=True,
+         help="most prefix classes, and continuations compared per prefix; costs about (classes*|alphabet| + 1)*bound"
+         " + bound term calls, one listing per language state and one rank offset per prefix and continuation length",
+     ), OUTPUT]),
+    ("gaps", cmd_gaps, "occurrence positions and gaps of an output factor",
+     [SYSTEM, MACHINE, _arg("--factor", required=True),
+      _arg("--count", type=_positive, required=True, help="terms scanned"), JSON]),
+    ("subst", cmd_subst, "substitution + coding generating the sequence",
+     [SYSTEM, MACHINE, _arg("--count", type=_nonneg, default=0, help="also print this many generated terms"), OUTPUT]),
+    ("from-morphism", cmd_from_morphism, "numeration system induced by a morphism",
+     [MORPHISM, _arg("--symbols", help="input symbols (glued characters or space-separated)"),
+      _arg("--machine-out", metavar="PATH", help="also write the output machine"), OUTPUT]),
+    ("fixpoint", cmd_fixpoint, "prefix of the fixed point of a morphism",
+     [MORPHISM, _arg("--count", type=_nonneg, required=True)]),
+    ("complexity", cmd_complexity, "distinct-block counts of a sequence prefix",
+     [SYSTEM, MACHINE, _arg(
+         "--prefix", type=_positive, required=True,
+         help="terms profiled; builds one suffix automaton over them, so time and memory grow linearly in PREFIX",
+     ), _arg("--nmax", type=_positive, required=True), JSON]),
+    ("witness-quadratic", cmd_witness_quadratic, "quadratic-growth evidence for the witness morphism",
+     [_arg("--prefix", type=_positive, default=100_000), JSON]),
+    ("binomial-word", cmd_binomial_word, "the three-ones listing word and its one-set",
+     [_arg("--count", type=_positive, required=True),
+      _arg("--check", action="store_true", help="also run the super-quadratic growth check"), JSON]),
+    ("equiv", cmd_equiv, "compare two DFA languages", [_arg("first"), _arg("second")]),
+    ("minimize", cmd_minimize, "canonical minimal DFA", [_arg("input"), OUTPUT]),
+    ("reduce", cmd_reduce, "canonical reduced output machine", [_arg("input"), OUTPUT]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,119 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
         "sequences, fibers, kernels, substitutions, and block-complexity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("rep", help="representation word of one or more ranks")
-    _add_system(p)
-    p.add_argument("rank", nargs="+", type=_nonneg)
-    p.set_defaults(func=cmd_rep)
-
-    p = sub.add_parser("val", help="rank of a representation word")
-    _add_system(p)
-    p.add_argument("word", help="word over the alphabet, or @eps")
-    p.set_defaults(func=cmd_val)
-
-    p = sub.add_parser("enum", help="list accepted words in shortlex order")
-    _add_system(p)
-    p.add_argument("--count", type=_nonneg, required=True)
-    p.add_argument("--start", type=_nonneg, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_enum)
-
-    p = sub.add_parser("seq", help="terms of the machine sequence")
-    _add_system(p, machine=True)
-    p.add_argument("--count", type=_nonneg, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_seq)
-
-    p = sub.add_parser("fiber", help="DFA of representations sharing one output")
-    _add_system(p, machine=True)
-    p.add_argument("--symbol", required=True)
-    _add_output(p)
-    p.set_defaults(func=cmd_fiber)
-
-    p = sub.add_parser("fibers-to-dfao", help="rebuild a machine from per-symbol DFAs")
-    _add_system(p)
-    p.add_argument("--fiber", action="append", required=True, metavar="SYMBOL=PATH")
-    _add_output(p)
-    p.set_defaults(func=cmd_fibers_to_dfao)
-
-    p = sub.add_parser("kernel", help="distinct suffix subsequences of the sequence")
-    _add_system(p, machine=True)
-    p.add_argument("--terms", type=_nonneg, default=20, help="terms shown per class")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("kernel-to-dfao", help="relearn a machine from the sequence terms")
-    _add_system(p, machine=True)
-    p.add_argument(
-        "--bound", type=_positive, required=True,
-        help="most prefix classes, and continuations compared per prefix; costs about (classes*|alphabet| + 1)*bound"
-        " + bound term calls, one listing per language state and one rank offset per prefix and continuation length",
-    )
-    _add_output(p)
-    p.set_defaults(func=cmd_kernel_to_dfao)
-
-    p = sub.add_parser("gaps", help="occurrence positions and gaps of an output factor")
-    _add_system(p, machine=True)
-    p.add_argument("--factor", required=True)
-    p.add_argument("--count", type=_positive, required=True, help="terms scanned")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gaps)
-
-    p = sub.add_parser("subst", help="substitution + coding generating the sequence")
-    _add_system(p, machine=True)
-    p.add_argument("--count", type=_nonneg, default=0, help="also print this many generated terms")
-    _add_output(p)
-    p.set_defaults(func=cmd_subst)
-
-    p = sub.add_parser("from-morphism", help="numeration system induced by a morphism")
-    p.add_argument("morphism", help="morphism file with an axiom line")
-    p.add_argument("--symbols", help="input symbols (glued characters or space-separated)")
-    p.add_argument("--machine-out", metavar="PATH", help="also write the output machine")
-    _add_output(p)
-    p.set_defaults(func=cmd_from_morphism)
-
-    p = sub.add_parser("fixpoint", help="prefix of the fixed point of a morphism")
-    p.add_argument("morphism", help="morphism file with an axiom line")
-    p.add_argument("--count", type=_nonneg, required=True)
-    p.set_defaults(func=cmd_fixpoint)
-
-    p = sub.add_parser("complexity", help="distinct-block counts of a sequence prefix")
-    _add_system(p, machine=True)
-    p.add_argument(
-        "--prefix", type=_positive, required=True,
-        help="terms profiled; builds one suffix automaton over them, so time and memory grow linearly in PREFIX",
-    )
-    p.add_argument("--nmax", type=_positive, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_complexity)
-
-    p = sub.add_parser("witness-quadratic", help="quadratic-growth evidence for the witness morphism")
-    p.add_argument("--prefix", type=_positive, default=100_000)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_witness_quadratic)
-
-    p = sub.add_parser("binomial-word", help="the three-ones listing word and its one-set")
-    p.add_argument("--count", type=_positive, required=True)
-    p.add_argument("--check", action="store_true", help="also run the super-quadratic growth check")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_binomial_word)
-
-    p = sub.add_parser("equiv", help="compare two DFA languages")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("minimize", help="canonical minimal DFA")
-    p.add_argument("input")
-    _add_output(p)
-    p.set_defaults(func=cmd_minimize)
-
-    p = sub.add_parser("reduce", help="canonical reduced output machine")
-    p.add_argument("input")
-    _add_output(p)
-    p.set_defaults(func=cmd_reduce)
-
+    for name, handler, text, arguments in COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flags, kw in arguments:
+            p.add_argument(*flags, **kw)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -70,11 +70,12 @@ def _suffix_automaton(seq: list) -> tuple[list[int], list[int]]:
     return sa_len, sa_link
 
 
-def _profile_json(prefix: int, ns: Iterable[int], counts: Iterable[int], verdicts: dict) -> dict:
-    """The JSON head the growth reports share: block lengths, their counts, count/n² and verdicts."""
+def _profile_json(prefix: int, ns: Iterable[int], counts: Iterable[int], verdicts: dict, **after_p) -> dict:
+    """The JSON head the growth reports share: block lengths, their counts (then
+    any `after_p` keys), count/n² and verdicts."""
     ns, counts = list(ns), list(counts)
     ratios = [c / n**2 for n, c in zip(ns, counts)]
-    return {"prefix": prefix, "n": ns, "p": counts, "ratios": ratios, "verdicts": verdicts}
+    return {"prefix": prefix, "n": ns, "p": counts, **after_p, "ratios": ratios, "verdicts": verdicts}
 
 
 @dataclass(frozen=True)
@@ -167,20 +168,13 @@ class QuadraticWitnessReport:
     machine_counts: tuple[int, ...]
 
     def to_dict(self) -> dict:
+        head = _profile_json(
+            self.prefix_length, range(1, self.n_max + 1), self.fixed_point_counts,
+            {"embedding": self.embedding_ok, "runs": self.runs_ok, "exponent": self.exponent_ok, "passed": self.passed},
+            p_machine=list(self.machine_counts),
+        )
         return {
-            "prefix": self.prefix_length,
-            "n": list(range(1, self.n_max + 1)),
-            "p": list(self.fixed_point_counts),
-            "p_machine": list(self.machine_counts),
-            "ratios": [
-                self.fixed_point_counts[n - 1] / n**2 for n in range(1, self.n_max + 1)
-            ],
-            "verdicts": {
-                "embedding": self.embedding_ok,
-                "runs": self.runs_ok,
-                "exponent": self.exponent_ok,
-                "passed": self.passed,
-            },
+            **head,
             "exponent": self.exponent,
             "exponent_threshold": self.exponent_threshold,
             "longest_run": self.longest_run,

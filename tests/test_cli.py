@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import select
 import subprocess
 import sys
@@ -100,6 +101,28 @@ def test_usage_errors_exit_2(files, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["rep", "-s", files["lang"], "-1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag, message",
+    [
+        (["seq", "-s", "L", "-m", "M", "--count", "x"], "--count", "expected an integer, got 'x'"),
+        (["rep", "-s", "L", "1e3"], "rank", "expected an integer, got '1e3'"),
+        (["complexity", "-s", "L", "-m", "M", "--prefix", "1.5", "--nmax", "2"], "--prefix",
+         "expected an integer, got '1.5'"),
+        (["rep", "-s", "L", "-1"], "rank", "must be nonnegative"),
+        (["complexity", "-s", "L", "-m", "M", "--prefix", "9", "--nmax", "0"], "--nmax", "must be positive"),
+    ],
+    ids=["count-x", "rank-1e3", "prefix-1.5", "rank-negative", "nmax-zero"],
+)
+def test_bad_integer_names_the_flag_not_the_parser(capsys, argv, flag, message):
+    # argparse prints a type function's name when it lets ValueError through
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: {message}\n")
+    assert not re.search(r"(?<!\w)_\w", err)
 
 
 def test_internal_errors_exit_1(files, capsys, monkeypatch):
@@ -287,10 +310,11 @@ def test_from_morphism_flow(files, capsys, tmp_path):
     assert run_ok(capsys, ["equiv", str(lang_out), str(expect)]).strip() == "equivalent"
 
 
-@pytest.mark.parametrize("symbols", ["a", "abc", "a a", "@x y", "⊥ y", "# y", "a#b y", "@eps y"])
+@pytest.mark.parametrize("symbols", ["a", "abc", "a a", "@x y", "⊥ y", "# y", "a#b y", "@eps y", "", " "])
 def test_from_morphism_refuses_symbols_it_could_not_read_back(files, capsys, symbols):
-    # the witness morphism's widest image has 2 letters: a wrong count, a repeat,
-    # a reserved name or a comment mark exits 2 before any file is written
+    # the witness morphism's widest image has 2 letters: a wrong count (an empty
+    # list too, not the default), a repeat, a reserved name or a comment mark
+    # exits 2 before any file is written
     lang_out, mach_out = files["dir"] / "w.dfa", files["dir"] / "w.dfao"
     argv = ["from-morphism", files["morphism"], "-o", str(lang_out), "--machine-out", str(mach_out)]
     assert cli.main(argv + ["--symbols", symbols]) == 2
@@ -365,6 +389,25 @@ def test_witness_quadratic_json(capsys):
     out = run_ok(capsys, ["witness-quadratic", "--prefix", "5000", "--json"])
     obj = json.loads(out)
     assert set(obj["verdicts"]) == {"embedding", "runs", "exponent", "passed"}
+
+
+def test_witness_quadratic_json_key_order_and_counts(capsys):
+    # the golden runs leave this JSON out for its float exponent; pin the rest
+    obj = json.loads(run_ok(capsys, ["witness-quadratic", "--prefix", "5000", "--json"]))
+    assert list(obj) == [
+        "prefix", "n", "p", "p_machine", "ratios", "verdicts",
+        "exponent", "exponent_threshold", "longest_run", "run_bound", "growth_classes",
+    ]
+    steps = [2, 2, 2] + [k // 2 for k in range(6, 32)]  # p(n+1) - p(n) for the witness
+    p = [3 + sum(steps[:i]) for i in range(30)]
+    p_machine = [
+        3, 8, 13, 18, 25, 32, 41, 51, 63, 75, 89, 104, 121, 139, 158,
+        178, 200, 223, 248, 274, 301, 329, 359, 390, 423, 457, 493, 529, 567, 604,
+    ]
+    assert (obj["prefix"], obj["n"], obj["p"], obj["p_machine"]) == (5000, list(range(1, 31)), p, p_machine)
+    assert obj["ratios"] == [c / n**2 for n, c in zip(obj["n"], p)]
+    assert list(obj["verdicts"]) == ["embedding", "runs", "exponent", "passed"]
+    assert (obj["longest_run"], obj["run_bound"]) == (98, 12)
 
 
 def test_binomial_word_output(capsys):
