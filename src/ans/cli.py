@@ -12,6 +12,7 @@ the pass/fail coloring on terminals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -397,6 +398,7 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ans",

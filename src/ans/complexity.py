@@ -316,7 +316,8 @@ class SuperQuadraticReport:
     def to_dict(self) -> dict:
         counts = [round(r * n**2) for r, n in zip(self.ratios, self.grid)]
         head = _profile_json(self.n_terms, self.grid, counts, {"verdict": self.verdict})
-        return {**head, "growth_factor": self.growth_factor, "threshold": self.threshold}
+        factor = None if math.isnan(self.growth_factor) else self.growth_factor
+        return {**head, "growth_factor": factor, "threshold": self.threshold}
 
 
 def super_quadratic_check(n_terms: int, stream: Iterable | None = None) -> SuperQuadraticReport:

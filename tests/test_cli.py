@@ -126,21 +126,63 @@ def test_bad_integer_names_the_flag_not_the_parser(capsys, argv, flag, message):
 
 
 def test_internal_errors_exit_1(files, capsys, monkeypatch):
-    def boom(args):
+    def boom(path):
         raise RuntimeError("wires crossed")
 
-    parser = cli.build_parser()
-    real_parse = parser.parse_args
-
-    def parse_with_boom(argv=None):
-        args = real_parse(argv)
-        args.func = boom
-        return args
-
-    parser.parse_args = parse_with_boom  # type: ignore[method-assign]
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "_load_system", boom)
     assert cli.main(["val", "-s", files["lang"], "a"]) == 1
     assert "internal error: RuntimeError" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def fibers_to_dfao_argv(files, capsys, machine, symbols, out):
+    """`fibers-to-dfao` argv that rebuilds the `machine` file into `out` from the `fiber` of each symbol."""
+    argv = ["fibers-to-dfao", "-s", files["lang"], "-o", str(out)]
+    for symbol in symbols:
+        path = out.with_name(f"{out.stem}-{symbol}.dfa")
+        run_ok(capsys, ["fiber", "-s", files["lang"], "-m", str(machine), "--symbol", symbol, "-o", str(path)])
+        argv += ["--fiber", f"{symbol}={path}"]
+    return argv
+
+
+def test_shared_parser_keeps_no_fiber_list_between_calls(files, capsys, tmp_path):
+    # four --fiber values, then two: a list kept from the first call would make the second fail
+    trans = {(q, a): {"e": "o", "o": "e"}[q] for q in "eo" for a in "ab"}
+    parity = tmp_path / "parity.dfao"
+    parity.write_text(ff.format_dfao(ans.Dfao(AB, ("e", "o"), "e", trans, {"e": "0", "o": "1"}, ("0", "1"))))
+    teach, par = tmp_path / "teach.out", tmp_path / "parity.out"
+    runs = {
+        teach: fibers_to_dfao_argv(files, capsys, files["machine"], "0123", teach),
+        par: fibers_to_dfao_argv(files, capsys, parity, "01", par),
+    }
+    alone = {}
+    for out, argv in runs.items():  # each on a parser of its own
+        args = cli.build_parser.__wrapped__().parse_args(argv)
+        args.func(args)
+        alone[out] = out.read_bytes()
+        out.unlink()
+    for out in [teach, par, teach, par]:
+        run_ok(capsys, runs[out])
+        assert out.read_bytes() == alone[out]
+
+
+def test_shared_parser_recovers_from_usage_errors_and_help(files, capsys):
+    seq = ["seq", "-s", files["lang"], "-m", files["machine"], "--count", "20"]
+    cli.build_parser.cache_clear()
+    first = run_ok(capsys, seq)
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["seq", "-s", files["lang"], "-m", files["machine"], "--count", "nope"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    assert run_ok(capsys, seq) == first
+    with pytest.raises(SystemExit) as shown:
+        cli.main(["seq", "--help"])
+    assert shown.value.code == 0
+    capsys.readouterr()
+    assert run_ok(capsys, seq) == first
 
 
 def test_fiber_roundtrip(files, capsys, tmp_path):
@@ -176,12 +218,7 @@ def rebuilt_from_fibers(files, capsys, tmp_path, m, symbols):
     """`seq` of machine `m` and of its rebuild from the `fiber` of each symbol, through the CLI."""
     machine, rebuilt = tmp_path / "machine.dfao", tmp_path / "rebuilt.dfao"
     machine.write_text(ff.format_dfao(m))
-    argv = ["fibers-to-dfao", "-s", files["lang"], "-o", str(rebuilt)]
-    for symbol in symbols:
-        path = tmp_path / f"f{symbol}.dfa"
-        run_ok(capsys, ["fiber", "-s", files["lang"], "-m", str(machine), "--symbol", symbol, "-o", str(path)])
-        argv += ["--fiber", f"{symbol}={path}"]
-    run_ok(capsys, argv)
+    run_ok(capsys, fibers_to_dfao_argv(files, capsys, machine, symbols, rebuilt))
     return tuple(run_ok(capsys, ["seq", "-s", files["lang"], "-m", str(p), "--count", "50"]) for p in (machine, rebuilt))
 
 
@@ -420,6 +457,19 @@ def test_binomial_word_output(capsys):
     assert "growth factor:" in out
     out = run_ok(capsys, ["binomial-word", "--count", "500", "--check", "--json"])
     assert json.loads(out)["check"]["verdicts"]["verdict"] == "inconclusive"
+
+
+def test_binomial_word_json_has_no_nan_for_short_prefixes(capsys):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    for count in ("40", "500"):  # under 2 grid lengths; under 1,000 terms
+        out = run_ok(capsys, ["binomial-word", "--count", count, "--check", "--json"])
+        check = json.loads(out, parse_constant=refuse)["check"]
+        assert check["growth_factor"] is None
+        assert check["verdicts"]["verdict"] == "inconclusive"
+    out = run_ok(capsys, ["binomial-word", "--count", "40", "--check"])
+    assert "growth factor: nan" in out
 
 
 def test_equiv_distinguishes(files, capsys, tmp_path):
