@@ -10,8 +10,11 @@ state q are filled lazily and memoized.  rep and val read them along one
 word; every shortlex listing (words, machine sequences, kernel subsequences,
 ``Substitution.generate``) is one depth-first walk, ``_walk``, that enters
 only subtrees with a nonzero count and crosses each run of one-child nodes
-in one step.  Instances never mutate their public state; concurrent readers
-either tolerate the appends the cache performs or synchronize externally.
+in one step.  Listings of words read it leaf by leaf; listings of outputs
+read it in blocks: a node with at most ``BLOCK`` words yields all their
+outputs as one tuple, memoized by the node and the state carried into it.
+Instances never mutate their public state; concurrent readers either
+tolerate the appends the cache performs or synchronize externally.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ from typing import Iterator
 
 from .automata import Dfa, OrderedAlphabet, Word, is_infinite
 from .errors import FiniteLanguageError, NotInLanguageError
+
+BLOCK = 64  # a node with at most this many words yields their outputs as one tuple
+MEMO_LETTERS = 1 << 16  # outputs a walk keeps in memoized blocks; later blocks are built but not kept
+STRIDE = 32  # one-child runs keep where they end at the lengths that this divides
 
 
 class NumerationSystem:
@@ -150,7 +157,7 @@ class NumerationSystem:
             buf[p:] = letters
             yield tuple(buf)
 
-    def _walk(self, root, step: dict, carried, word=None) -> Iterator[tuple[list, tuple, object]]:
+    def _walk(self, root, step: dict, carried, word=None, out=None) -> Iterator:
         """Depth-first shortlex walk over the words accepted from `root`.
 
         Nodes are (state, remaining length) pairs, one tree per length; a
@@ -163,13 +170,31 @@ class NumerationSystem:
         entered at `carried` and defined on every letter the walk reads;
         the state at a chain's end is memoized per state at its start.  So
         where the words of length m grow at least linearly in m, a word
-        costs amortized constant work.  Each leaf yields the stack, whose
-        levels hold the chains that reached them, its own chain and the
-        carried state.  The bottom level's one child is the root, reached by
-        the empty chain, so each tree is entered by the one descent step.
+        costs amortized constant work.  The bottom level's one child is the
+        root, reached by the empty chain, so each tree is entered by the one
+        descent step.  Accepted lengths from a live state are at most
+        #states apart, so #states + 1 empty lengths in a row end it.
+
+        Leaf mode (`out` None): each leaf yields the stack, whose levels hold
+        the chains that reached them, its own chain and the carried state.
         The walk starts at `word`, an accepted word, or else at the least
-        word.  Accepted lengths from a live state are at most #states apart,
-        so #states + 1 empty lengths in a row end it.
+        word.
+
+        Block mode (`out` maps carried states at leaves to outputs; no
+        `word`): a node with at most ``BLOCK`` words yields the tuple of
+        their outputs, and only larger nodes are stacked.  By the paper's
+        main theorem the sequence is the coded fixed point of a morphism on
+        (language state, carried state) pairs, so a block depends only on
+        the node's state, its remaining length and the state carried into
+        it.  Blocks are built from their children's blocks and memoized
+        under those three, up to ``MEMO_LETTERS`` outputs per walk; a tree's
+        root is met once and not kept.  A child is first followed down its
+        one-child run to a leaf or a branching node, whose count is smaller,
+        so the recursion is at most ``BLOCK`` deep.  Where a run crosses a
+        length that ``STRIDE`` divides, its end is memoized per carried
+        state, so a run that is new in each tree (over a one-letter
+        language, every tree is one) costs about ``STRIDE`` steps, not its
+        length.
         """
         counts, succ = self._counts, self._succ
 
@@ -203,6 +228,46 @@ class NumerationSystem:
                     row.append((tuple(letters), q2, r2, {}))
             return row
 
+        # blocks: (state, remaining length, carried state) of a branching node
+        # -> its outputs; runs: the same of a one-child node at a length that
+        # STRIDE divides -> the same of the leaf or branching node ending its run
+        blocks, runs, room = {}, {}, MEMO_LETTERS
+
+        def block(q, r, c):
+            """The outputs on the words of length r from the live node (q, r), entered at `c`."""
+            nonlocal room
+            passed = []
+            while r:  # down the one-child run to a branching node or a leaf
+                if not r % STRIDE:
+                    end = runs.get((q, r, c))
+                    if end is not None:
+                        q, r, c = end
+                        break
+                for a, q2 in succ[q]:
+                    if counts[q2][r - 1]:
+                        break
+                if counts[q2][r - 1] < counts[q][r]:
+                    break
+                if not r % STRIDE:
+                    passed.append((q, r, c))
+                q, r, c = q2, r - 1, step[(c, a)]
+            for key in passed:
+                runs[key] = (q, r, c)
+            if not r:
+                return (out[c],)
+            got = blocks.get((q, r, c))
+            if got is None:
+                got = ()
+                for a, q2 in succ[q]:
+                    if counts[q2][r - 1]:
+                        c2 = step[(c, a)]
+                        got += (out[c2],) if r == 1 else (blocks.get((q2, r - 1, c2)) or block(q2, r - 1, c2))
+                if len(got) <= room and r < m:  # a tree's root is met once
+                    room -= len(got)
+                    blocks[q, r, c] = got
+            return got
+
+        bound = 0 if out is None else BLOCK  # stacked nodes hold more words than this
         m = -1 if word is None else len(word) - 1
         while True:
             zeros = 0
@@ -226,13 +291,16 @@ class NumerationSystem:
                         for a in letters:
                             c = step[(c, a)]
                         ends[c0] = c
-                    if r:
+                    if r and counts[q][r] > bound:
                         row = kids.get((q, r)) or branches(q, r)
                         if word is not None:  # enter the first tree along the word, not its least word
                             row = row[[k[0][0] for k in row].index(word[m - r]) :]
                         stack.append((iter(row), letters, c))
                         break
-                    word = None
-                    yield stack, letters, c
+                    if out is None:
+                        word = None
+                        yield stack, letters, c
+                    else:
+                        yield (blocks.get((q, r, c)) or block(q, r, c)) if r else (out[c],)
                 else:
                     stack.pop()

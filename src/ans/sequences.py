@@ -16,7 +16,7 @@ ways between three presentations of such a sequence:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .automata import (
@@ -41,14 +41,15 @@ def _outputs(system: NumerationSystem, complete: Dfao, prefix: Word = ()) -> Seq
     """Outputs of a complete machine on the accepted words `prefix` z, in shortlex order of z.
 
     The walk carries the machine's state down the tree and across each
-    one-child chain in one step, and no word is built, so on a*b* as on
-    base 2 a term costs amortized constant work (``NumerationSystem._walk``).
+    one-child chain in one step, and no word is built.  It yields the
+    outputs in blocks, one tuple per node of at most ``BLOCK`` words,
+    memoized by the node and the machine's state on entering it
+    (``NumerationSystem._walk``), and the stream flattens them.
     """
     root = system.language.run(prefix)
     if root is None:
         return iter(())
-    out = complete.output
-    return (out[c] for _, _, c in system._walk(root, complete.trans, complete.run(prefix)))
+    return chain.from_iterable(system._walk(root, complete.trans, complete.run(prefix), out=complete.output))
 
 
 def sequence(system: NumerationSystem, machine: Dfao) -> SequenceStream:

@@ -13,17 +13,20 @@ The two directions implemented here:
 ``Substitution.generate()`` never materializes the fixed point.  It reads
 the substitution as a numeration system whose words are the positions of
 the fixed point (see ``Substitution``) and streams it with the shortlex walk
-of ``numeration``, the one that also streams machine sequences.  Erased
-letters are not final, so a subtree of the expansion whose coding image is
-empty counts zero words and is never entered, and heavily erasing codings
-(the rule, not the exception, for pair-state substitutions) still stream in
-time proportional to the output.  The same system decides, exactly and in
-linear time, whether the generated word is infinite.
+of ``numeration`` in its block mode, as machine sequences are streamed: the
+language's own transitions are the carried map, and the coding of final
+letters is the output.  Erased letters are not final, so a subtree of the
+expansion whose coding image is empty counts zero words and is never
+entered, and heavily erasing codings (the rule, not the exception, for
+pair-state substitutions) still stream in time proportional to the output.
+The same system decides, exactly and in linear time, whether the generated
+word is infinite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Hashable, Iterator
 
 from .automata import Dfa, Dfao, OrderedAlphabet, Word, _outputs_in_use, minimize, product, reduce_dfao
@@ -137,12 +140,11 @@ class Substitution:
         object.__setattr__(self, "_system", system)
 
     def generate(self) -> Iterator:
-        """Stream h(phi^omega(seed)): h(seed), then the coded letters of the walk."""
-        h = self.coding.images
-        yield from h[self.seed]
+        """Stream h(phi^omega(seed)): h(seed), then the walk's blocks of coded letters."""
         lang = self._system.language
-        for _, _, x in self._system._walk(lang.start, lang.trans, lang.start):
-            yield h[x][0]
+        coded = {x: img[0] for x, img in self.coding.images.items() if img}
+        blocks = self._system._walk(lang.start, lang.trans, lang.start, out=coded)
+        return chain(self.coding.images[self.seed], chain.from_iterable(blocks))
 
 
 ALPHA_BASE = "@a"  # reserved-prefix name for the fresh seed letter of state morphisms

@@ -1,11 +1,11 @@
 import random
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ans import Dfa, FiniteLanguageError, NotInLanguageError, NumerationSystem, OrderedAlphabet
+from ans import Dfa, Dfao, FiniteLanguageError, NotInLanguageError, NumerationSystem, OrderedAlphabet, numeration
 from conftest import (
     AB,
     ab_star_dfa,
@@ -14,6 +14,8 @@ from conftest import (
     fibonacci_dfa,
     remark_morphism,
     squares_dfa,
+    teaching_dfao,
+    thue_morse_dfao,
 )
 from ans import system_from_morphism
 
@@ -219,3 +221,85 @@ def test_deep_start_builds_words_in_memory_linear_in_their_length(make, word):
     lang, k = system.language, system.val(tuple(word))
     walk = system._walk(lang.start, lang.trans, lang.start, system.rep(k))
     assert _peak(system.enumerate(k), 3) - _peak(walk, 3) < 1_000_000
+
+
+# -- block mode: outputs streamed in memoized blocks ------------------------------
+
+UNARY = OrderedAlphabet(("a",))
+A_STAR = Dfa(UNARY, ("p",), "p", frozenset({"p"}), {("p", "a"): "p"})
+PARITY = Dfao(UNARY, ("e", "o"), "e", {("e", "a"): "o", ("o", "a"): "e"}, {"e": "0", "o": "1"}, ("0", "1"))
+ABC = OrderedAlphabet(("a", "b", "c"))
+# c, then a's or b's: each length has two words, under a node one letter deep
+C_THEN_A_OR_B = Dfa(
+    ABC, ("s", "t", "x", "y"), "s", frozenset({"t", "x", "y"}),
+    {("s", "c"): "t", ("t", "a"): "x", ("x", "a"): "x", ("t", "b"): "y", ("y", "b"): "y"},
+)
+LETTERS_MOD_3 = Dfao(
+    ABC, ("0", "1", "2"), "0", {(str(i), a): str((i + 1) % 3) for i in range(3) for a in "abc"},
+    {"0": "x", "1": "y", "2": "y"}, ("x", "y"),
+)
+
+
+def block_stream(system, machine, step=None, out=None):
+    """The system's outputs under a complete machine, from the walk's block mode."""
+    lang = system.language
+    step = machine.trans if step is None else step
+    out = machine.output if out is None else out
+    return chain.from_iterable(system._walk(lang.start, step, machine.start, out=out))
+
+
+def leaf_stream(system, machine):
+    lang = system.language
+    return (machine.output[c] for _, _, c in system._walk(lang.start, machine.trans, machine.start))
+
+
+@pytest.mark.parametrize("room", [0, numeration.MEMO_LETTERS], ids=["no-memo", "memo"])
+@pytest.mark.parametrize("case", ["one-letter", "ab-star"])
+def test_block_stream_is_linear_past_the_memo_budget(monkeypatch, case, room):
+    # a block recursion that followed runs letter by letter would go as deep
+    # as the word, and one that crossed each new run letter by letter would
+    # cost its length: over a* each tree is one new run from the root
+    monkeypatch.setattr(numeration, "MEMO_LETTERS", room)
+    n = 100_000
+    lang, machine = (A_STAR, PARITY) if case == "one-letter" else (ab_star_dfa(), teaching_dfao())
+    system = NumerationSystem(lang)
+    step, got = CountingMap(machine.trans), ()
+    stream = block_stream(system, machine, step)
+    for k in (1_000, n):  # a walk quadratic in the terms fails the first check, in well under a second
+        got += tuple(islice(stream, k - len(got)))
+        assert step.lookups <= (numeration.STRIDE + 4) * k
+    if case == "one-letter":
+        assert got == ("0", "1") * (n // 2)
+    else:
+        assert got == tuple(islice(leaf_stream(system, machine), n))
+
+
+def test_thue_morse_blocks_are_reused_not_rebuilt():
+    system, machine, n = NumerationSystem(binary_like_dfa()), thue_morse_dfao(), 100_000
+    step, out = CountingMap(machine.trans), CountingMap(machine.output)
+    got = tuple(islice(block_stream(system, machine, step, out), n))
+    assert got == tuple(islice(leaf_stream(system, machine), n))
+    # each output and transition is read while a block is first built
+    assert step.lookups <= n // 8 and out.lookups <= n // 8
+
+
+def memo_bound(letters):
+    """Bytes a memo of `letters` outputs may hold: 8 per output, and 320 per entry
+    for its 3-tuple key with the length's int, its tuple's header and a dict slot
+    with its resize slack; every kept block holds at least two outputs."""
+    return 8 * letters + 320 * letters // 2
+
+
+def test_block_memo_memory_stays_within_its_letter_budget(monkeypatch):
+    # over a*b* the memo holds the blocks of the 4 a-counts the machine
+    # tells apart below length 64: far inside the budget
+    system, machine, n = NumerationSystem(ab_star_dfa()), teaching_dfao(), 100_000
+    extra = _peak(block_stream(system, machine), n) - _peak(leaf_stream(system, machine), n)
+    assert extra < memo_bound(numeration.MEMO_LETTERS)
+    # one letter deep, each tree's two words are a new block: the budget is what bounds the memo
+    system, machine, n, budget = NumerationSystem(C_THEN_A_OR_B), LETTERS_MOD_3, 8_000, 1 << 10
+    peaks = {}
+    for room in (0, budget, n):
+        monkeypatch.setattr(numeration, "MEMO_LETTERS", room)
+        peaks[room] = _peak(block_stream(system, machine), n)
+    assert peaks[budget] - peaks[0] < memo_bound(budget) < peaks[n] - peaks[0]

@@ -27,6 +27,7 @@ from ans import (
     dfao_from_kernel,
     fixed_point,
     kernel,
+    numeration,
     sequence,
     subsequence,
     take,
@@ -55,12 +56,26 @@ def brute_words(lang, root, count):
     return words[:count]
 
 
+# The streams read the walk in blocks of at most numeration.BLOCK words: they are
+# checked at that size, at one word (every leaf its own block) and above every
+# count met here (every tree one block, built from its children's blocks).
+BLOCK_SIZES = (numeration.BLOCK, 1, 10**9)
+
+
+def at_block_sizes(make, count, want):
+    """The first `count` terms of the stream `make()` are `want` at every block size."""
+    for block in BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeration, "BLOCK", block)
+            assert take(make(), count) == want, f"block size {block}"
+
+
 def check_terms(u, count):
     lang, mach = u.system.language, u.machine
     want = tuple(out(mach, mach.run(w)) for w in brute_words(lang, lang.start, count))
-    assert take(u.stream(), count) == want
+    at_block_sizes(u.stream, count, want)
     assert tuple(u.term(n) for n in range(count)) == want
-    assert take(canonical_substitution(lang, mach).generate(), count) == want
+    at_block_sizes(canonical_substitution(lang, mach).generate, count, want)
 
 
 def check_enumerate(system, k, count):
@@ -112,12 +127,16 @@ def test_kernel_relearn_reproduces_the_stream_up_to_its_bound(u):
 @CORE
 @given(sequences())
 def test_every_kernel_subsequence_agrees_with_brute_force(u):
+    check_kernel_subsequences(u)
+
+
+def check_kernel_subsequences(u):
     lang, mach = u.system.language, u.machine
     for k in kernel(u):
         w = k.representative_prefix
         root = lang.run(w)
         words = [] if root is None else brute_words(lang, root, N)
-        assert take(subsequence(u, k), N) == tuple(out(mach, mach.run(w + z)) for z in words)
+        at_block_sizes(lambda: subsequence(u, k), N, tuple(out(mach, mach.run(w + z)) for z in words))
 
 
 @st.composite
@@ -152,7 +171,7 @@ def test_generate_agrees_with_the_coded_fixed_point(case):
             Substitution(phi, h, 0)
         return
     want = tuple(y for x in islice(fixed_point(phi, 0), 3_000) for y in h.images[x])[:N]
-    assert take(Substitution(phi, h, 0).generate(), len(want)) == want
+    at_block_sizes(Substitution(phi, h, 0).generate, len(want), want)
 
 
 # -- fixed systems with one-child chains ---------------------------------------------
@@ -184,6 +203,7 @@ CHAINS = {
 def test_fixed_systems_agree_with_brute_force(name):
     u = AutomaticSequence(NumerationSystem(CHAINS[name][0]), CHAINS[name][1])
     check_terms(u, 200)
+    check_kernel_subsequences(u)
     # over a*b*, rep(0) is the empty word and rep(26) = abbbbb ends in a five-letter chain
     for k in (0, 1, 5, 26, 57):
         check_enumerate(u.system, k, 120)
