@@ -6,13 +6,15 @@ order) represents the integer n, starting at n = 0.  Ranks are plain Python
 integers, so arbitrarily large values are exact.
 
 Counting tables u_q(m) = number of accepted words of length m readable from
-state q are filled lazily and memoized.  rep and val read them along one
-word; every shortlex listing (words, machine sequences, kernel subsequences,
-``Substitution.generate``) is one depth-first walk, ``_walk``, that enters
-only subtrees with a nonzero count and crosses each run of one-child nodes
-in one step.  Listings of words read it leaf by leaf; listings of outputs
-read it in blocks: a node with at most ``BLOCK`` words yields all their
-outputs as one tuple, memoized by the node and the state carried into it.
+state q are filled lazily and memoized, one length at a time, and each state
+holds its successors' rows.  rep, val and ``AutomaticSequence.term`` read
+those held rows along one word; every shortlex listing (words, machine
+sequences, kernel subsequences, ``Substitution.generate``) is one
+depth-first walk, ``_walk``, that enters only subtrees with a nonzero count
+and crosses each run of one-child nodes in one step.  Listings of words
+read it leaf by leaf; listings of outputs read it in blocks: a node with at
+most ``BLOCK`` words yields all their outputs as one tuple, memoized by the
+node and the state carried into it.
 Instances never mutate their public state; concurrent readers either
 tolerate the appends the cache performs or synchronize externally.
 """
@@ -41,22 +43,32 @@ class NumerationSystem:
             )
         self.language = lang
         self.alphabet: OrderedAlphabet = lang.alphabet
-        # transitions by source state, in alphabet order (dense lookup for the hot paths)
-        self._succ: dict = {
-            q: tuple((a, lang.trans[(q, a)]) for a in lang.alphabet if (q, a) in lang.trans)
-            for q in lang.states
-        }
         self._counts: dict = {q: [1 if q in lang.finals else 0] for q in lang.states}
         self._cum = [0, self._counts[lang.start][0]]  # _cum[m] counts the accepted words shorter than m
+        # by source state, in alphabet order: (letter, successor, the successor's count row); the
+        # rows are the tables' own lists, which only grow by appending, so what holds them stays valid
+        self._succ: dict = {
+            q: tuple((a, q2, self._counts[q2]) for a in lang.alphabet if (q2 := lang.trans.get((q, a))) is not None)
+            for q in lang.states
+        }
+        self._fill = [(self._counts[q], [r for _a, _q, r in succ]) for q, succ in self._succ.items()]
 
     # -- counting ---------------------------------------------------------
 
-    def _ensure(self, length: int):
-        counts, cum = self._counts, self._cum
-        while (m := len(cum) - 2) < length:  # m: the longest length that every row holds
-            for q, row in counts.items():
-                row.append(sum(counts[q2][m] for _a, q2 in self._succ[q]))
-            cum.append(cum[-1] + counts[self.language.start][m + 1])
+    def _ensure(self, length: int, rank: int = -1):
+        """Fill the tables through `length`, and on to the first length that covers `rank`.
+
+        A length m covers `rank` when more than `rank` words are no longer than m.  A
+        length costs one list sum per state, over the rows of its successors that
+        ``_fill`` holds.
+        """
+        cum, start = self._cum, self._counts[self.language.start]
+        m = len(cum) - 2  # the longest length that every row holds
+        while m < length or cum[-1] <= rank:
+            for row, rows in self._fill:
+                row.append(sum([r[m] for r in rows]))
+            m += 1
+            cum.append(cum[-1] + start[m])
 
     def count_words(self, length: int) -> int:
         """Number of accepted words of exactly the given length."""
@@ -69,30 +81,25 @@ class NumerationSystem:
 
     def rep(self, n: int) -> Word:
         """The word of rank n: the (n+1)-th word of L in shortlex order."""
+        return tuple(self._letters(n))
+
+    def _letters(self, n: int) -> list:
+        """The letters of rep(n): each the first successor whose held row counts more than the rank left."""
         if n < 0:
             raise ValueError("ranks are nonnegative")
-        length = self._length_of_rank(n)
-        remaining = n - self._cum[length]
-        counts = self._counts
-        q = self.language.start
-        out = []
-        for i in range(length):
-            rest = length - i - 1
-            for a, q2 in self._succ[q]:
-                c = counts[q2][rest]
-                if remaining < c:
-                    out.append(a)
-                    q = q2
+        self._ensure(0, n)
+        length = bisect_right(self._cum, n) - 1
+        n -= self._cum[length]
+        q, succ, out = self.language.start, self._succ, []
+        for rest in range(length - 1, -1, -1):
+            for a, q, row in succ[q]:
+                if n < row[rest]:
                     break
-                remaining -= c
+                n -= row[rest]
             else:  # pragma: no cover - counts guarantee a branch is taken
                 raise AssertionError("count tables out of sync")
-        return tuple(out)
-
-    def _length_of_rank(self, n: int) -> int:
-        while self._cum[-1] <= n:
-            self._ensure(len(self._cum) - 1)
-        return bisect_right(self._cum, n) - 1
+            out.append(a)
+        return out
 
     def val(self, word) -> int:
         """Rank of an accepted word; raises NotInLanguageError otherwise."""
@@ -108,24 +115,20 @@ class NumerationSystem:
         """
         length = len(word) + extra
         self._ensure(length)
-        counts = self._counts
-        lang = self.language
-        rank = self._cum[length]
-        q = lang.start
+        rank, q, succ = self._cum[length], self.language.start, self._succ
         for i, a in enumerate(word):
             rest = length - i - 1
-            if a not in self.alphabet:
-                raise NotInLanguageError(f"symbol {a!r} at position {i + 1} is not in the alphabet")
-            nxt = lang.trans.get((q, a))
-            if nxt is None:
+            for b, q2, row in succ[q]:
+                if b == a:
+                    break
+                rank += row[rest]
+            else:
+                if a not in self.alphabet:
+                    raise NotInLanguageError(f"symbol {a!r} at position {i + 1} is not in the alphabet")
                 raise NotInLanguageError(
                     f"word leaves the language at position {i + 1} (no accepted continuation)"
                 )
-            for b, q2 in self._succ[q]:
-                if b == a:
-                    break
-                rank += counts[q2][rest]
-            q = nxt
+            q = q2
         return rank, q
 
     # -- enumeration ------------------------------------------------------
@@ -212,18 +215,18 @@ class NumerationSystem:
             row = memo.get((q, r))
             if row is None:
                 row = memo[q, r] = []
-                for a, q2 in succ[q]:
+                for a, q2, held in succ[q]:
                     letters, r2 = [a], r - 1
-                    if not counts[q2][r2]:
+                    if not held[r2]:
                         continue
                     while r2:  # follow the chain while one live child holds all the node's words
-                        for b, q3 in succ[q2]:
-                            if counts[q3][r2 - 1]:
+                        for b, q3, held3 in succ[q2]:
+                            if held3[r2 - 1]:
                                 break
-                        if counts[q3][r2 - 1] < counts[q2][r2]:
+                        if held3[r2 - 1] < held[r2]:
                             break
                         letters.append(b)
-                        q2, r2 = q3, r2 - 1
+                        q2, r2, held = q3, r2 - 1, held3
                     # (letters, end state, end remaining length, carried state at the end by start state)
                     row.append((tuple(letters), q2, r2, {}))
             return row
@@ -243,10 +246,10 @@ class NumerationSystem:
                     if end is not None:
                         q, r, c = end
                         break
-                for a, q2 in succ[q]:
-                    if counts[q2][r - 1]:
+                for a, q2, held in succ[q]:
+                    if held[r - 1]:
                         break
-                if counts[q2][r - 1] < counts[q][r]:
+                if held[r - 1] < counts[q][r]:
                     break
                 if not r % STRIDE:
                     passed.append((q, r, c))
@@ -258,8 +261,8 @@ class NumerationSystem:
             got = blocks.get((q, r, c))
             if got is None:
                 got = ()
-                for a, q2 in succ[q]:
-                    if counts[q2][r - 1]:
+                for a, q2, held in succ[q]:
+                    if held[r - 1]:
                         c2 = step[(c, a)]
                         got += (out[c2],) if r == 1 else (blocks.get((q2, r - 1, c2)) or block(q2, r - 1, c2))
                 if len(got) <= room and r < m:  # a tree's root is met once

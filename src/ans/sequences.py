@@ -77,8 +77,15 @@ class AutomaticSequence:
         object.__setattr__(self, "output_alphabet", self._complete.output_alphabet)
 
     def term(self, n: int):
-        """The output at rank `n` (the machine run on the n-th word), ``⊥`` where the run dies."""
-        return self._complete.transform(self.system.rep(n))
+        """The output at rank `n` (the machine run on the n-th word), ``⊥`` where the run dies.
+
+        The completed machine reads the letters that rep's descent lists; no tuple is built
+        and neither ``rep`` nor ``Dfao.transform`` is called.
+        """
+        trans, c = self._complete.trans, self._complete.start
+        for a in self.system._letters(n):
+            c = trans[c, a]
+        return self._complete.output[c]
 
     def stream(self) -> SequenceStream:
         return _outputs(self.system, self._complete)

@@ -5,7 +5,17 @@ from itertools import chain, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ans import Dfa, Dfao, FiniteLanguageError, NotInLanguageError, NumerationSystem, OrderedAlphabet, numeration
+from ans import (
+    AutomaticSequence,
+    Dfa,
+    Dfao,
+    FiniteLanguageError,
+    NotInLanguageError,
+    NumerationSystem,
+    OrderedAlphabet,
+    dfao_from_kernel,
+    numeration,
+)
 from conftest import (
     AB,
     ab_star_dfa,
@@ -13,6 +23,7 @@ from conftest import (
     brute_words,
     fibonacci_dfa,
     remark_morphism,
+    squares_chi_dfao,
     squares_dfa,
     teaching_dfao,
     thue_morse_dfao,
@@ -177,6 +188,51 @@ def test_walk_keeps_no_chains_that_later_trees_never_meet():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+FILLED = {
+    "ab-star": (ab_star_dfa, teaching_dfao),
+    "base-2": (binary_like_dfa, thue_morse_dfao),
+    "fibonacci": (fibonacci_dfa, thue_morse_dfao),
+    "squares": (squares_dfa, squares_chi_dfao),
+}
+
+
+@pytest.mark.parametrize("name", FILLED)
+def test_tables_do_not_depend_on_the_order_they_are_filled_in(name):
+    lang, machine = FILLED[name][0](), FILLED[name][1]()
+    words = NumerationSystem(lang)  # a separate system, for the words handed to val
+    rng = random.Random(name)
+    for _ in range(5):
+        system = NumerationSystem(lang)
+        u = AutomaticSequence(system, machine)
+        calls = [
+            lambda: system.count_words(rng.randrange(80)),
+            lambda: system.rep(rng.randrange(10 ** rng.randrange(1, 8))),
+            lambda: system.val(words.rep(rng.randrange(10 ** rng.randrange(1, 8)))),
+            lambda: dfao_from_kernel(u.term, system, len(lang.states) * len(machine.states)),
+            lambda: u.prefix(rng.randrange(1, 3_000)),
+        ]
+        for call in rng.sample(calls * 2, 10):
+            call()
+        length = len(system._cum) - 2
+        fresh = NumerationSystem(lang)
+        fresh.count_words(length)
+        assert system._counts == fresh._counts and system._cum == fresh._cum
+        words_upto_10 = brute_words(lang, 10)
+        brute = [sum(len(w) == m for w in words_upto_10) for m in range(11)]
+        assert system._counts[lang.start][: len(brute)] == brute
+        assert system._cum[: len(brute) + 1] == [sum(brute[:m]) for m in range(len(brute) + 1)]
+
+
+@pytest.mark.parametrize("name", FILLED)
+def test_rep_fills_no_length_past_its_word(name):
+    # the first length whose cumulative count exceeds n is rep(n)'s; filling on would overshoot
+    rng = random.Random(name)
+    for n in [0, 1, 2, 10**7, *(rng.randrange(10 ** rng.randrange(1, 12)) for _ in range(20))]:
+        system = NumerationSystem(FILLED[name][0]())
+        word = system.rep(n)
+        assert len(system._cum) - 2 == len(word)
 
 
 def test_words_from_handles_finite_continuations():

@@ -123,6 +123,21 @@ def test_kernel_relearn_reproduces_the_stream_up_to_its_bound(u):
     assert take(sequence(u.system, learned), bound) == take(u.stream(), bound)
 
 
+@seed(49)
+@CORE
+@given(sequences(), st.data())
+def test_term_at_deep_ranks_is_the_run_on_rep(u, data):
+    # ranks among the words of up to 300 letters: near 3^300 on the fastest-growing
+    # languages, a few hundred on those with one word per length
+    system, lang, mach = u.system, u.system.language, u.machine
+    top = sum(map(NumerationSystem(lang).count_words, range(301)))
+    for n in data.draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=8)):
+        got = u.term(n)  # before rep, so that term fills the tables itself
+        w = system.rep(n)
+        assert lang.accepts(w) and system.val(w) == n
+        assert got == out(mach, mach.run(w))
+
+
 @seed(45)
 @CORE
 @given(sequences())
@@ -209,6 +224,19 @@ def test_fixed_systems_agree_with_brute_force(name):
         check_enumerate(u.system, k, 120)
     # from a*b*'s state q, every tree is one chain of b's
     check_words_from(u.system, 60)
+
+
+def test_term_neither_builds_rep_nor_calls_transform(monkeypatch):
+    # term runs the completed machine over the letters the descent picks, ⊥ where the run dies
+    def refused(*args):
+        raise AssertionError("term goes through rep or transform")
+
+    cases = [AutomaticSequence(NumerationSystem(lang), mach) for lang, mach in CHAINS.values()]
+    wants = [[out(mach, mach.run(w)) for w in brute_words(lang, lang.start, 200)] for lang, mach in CHAINS.values()]
+    monkeypatch.setattr(NumerationSystem, "rep", refused)
+    monkeypatch.setattr(Dfao, "transform", refused)
+    for u, want in zip(cases, wants):
+        assert [u.term(n) for n in range(200)] == want
 
 
 @pytest.mark.parametrize("make", [ab_star_dfa, binary_like_dfa])

@@ -1,3 +1,4 @@
+import random
 from itertools import count, product as iproduct
 from math import isqrt
 
@@ -30,6 +31,7 @@ from conftest import (
     GOLDEN_50,
     ab_star_dfa,
     binary_like_dfa,
+    fibonacci_dfa,
     popcount_parity,
     squares_dfa,
     teaching_dfao,
@@ -60,6 +62,50 @@ def test_teaching_term_against_letter_counts(teaching):
 def test_thue_morse_matches_popcount(thue_morse):
     got = take(thue_morse.stream(), 4_096)
     assert got == tuple(popcount_parity(n) for n in range(4_096))
+
+
+def ab_star_word(n):
+    """rep(n) over a*b*: the lengths below L hold L(L+1)/2 words, and a^(L-k) b^k is the k-th of length L."""
+    length = (isqrt(8 * n + 1) - 1) // 2
+    k = n - length * (length + 1) // 2
+    return ("a",) * (length - k) + ("b",) * k
+
+
+def zeckendorf_word(n):
+    """n's greedy digits over the weights 1, 2, 3, 5, 8, ... up to n."""
+    weights = [1, 2]
+    while weights[-1] <= n:
+        weights.append(weights[-1] + weights[-2])
+    word = []
+    for w in reversed([w for w in weights if w <= n]):
+        word.append("1" if w <= n else "0")
+        n -= w if w <= n else 0
+    return tuple(word)
+
+
+# the benchmark's query systems, each with its largest query rank and its words
+# in closed form: a*b* with the teaching machine, Thue-Morse over base 2 and
+# the same parity machine over Zeckendorf words
+DEEP = {
+    "ab-star-teaching": (ab_star_dfa, teaching_dfao, 10**7, ab_star_word),
+    "base-2": (binary_like_dfa, thue_morse_dfao, 10**300, lambda n: tuple(bin(n)[2:]) if n else ()),
+    "fibonacci": (fibonacci_dfa, thue_morse_dfao, 10**300, zeckendorf_word),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_terms_are_the_machine_run_on_rep(name):
+    make_lang, make_machine, top, word = DEEP[name]
+    u = AutomaticSequence(NumerationSystem(make_lang()), make_machine())
+    rng = random.Random(name)
+    trans, start, out = u.machine.trans, u.machine.start, u.machine.output
+    for n in [top, top - 1, *(rng.randrange(top) for _ in range(100)), *range(50)]:
+        w = word(n)
+        q = start
+        for a in w:
+            q = trans[(q, a)]
+        assert u.term(n) == out[q]  # the first, at the top rank, fills the tables
+        assert u.system.rep(n) == w
 
 
 def test_alphabet_mismatch_rejected(ab_system):
