@@ -19,7 +19,9 @@ every quotient by indistinguishability (``minimize``, ``reduce_dfao``) by
 ``_quotient``.  The product is explored breadth-first with letters taken in
 alphabet order, so a state is first reached by its shortlex-least access
 word, and the order of discovery is the shortlex order of those words: the
-first state of any set in that order carries the set's least word.
+first state of any set in that order carries the set's least word.  The
+quotient's blocks, and the kernel classes of ``sequences``, come from
+``_refine``: Hopcroft's partition refinement, O(n·|Σ|·log n) on n states.
 """
 
 from __future__ import annotations
@@ -332,23 +334,64 @@ def product(a: Dfa, b: Dfao) -> ProductMachine:
 
 
 def _refine(states: Sequence, alphabet: OrderedAlphabet, trans: dict, label: dict) -> dict:
-    """Moore partition refinement of a total automaton; returns state -> block id.
+    """Coarsest partition of a total automaton refining `label`; returns state -> block id.
 
-    States start in one block per distinct `label`; blocks are numbered in
-    order of first appearance in `states`.
+    `trans` must lead every state of `states` into `states`; blocks are
+    numbered in order of first appearance in `states`.  Hopcroft's splitter
+    loop on a refinable partition (Valmari, IPL 112(6), 2012), O(n·|Σ|·log n)
+    on n states: block b holds ``elems[first[b]:end[b]]``, its states marked
+    so far swapped to the front, ``elems[first[b]:mid[b]]``.  A partly marked
+    block splits off its smaller part as a new block, in time linear in that
+    part, and the new block becomes a splitter.
     """
+    n = len(states)
+    index = {q: i for i, q in enumerate(states)}
+    pre = [[[] for _ in range(n)] for _ in alphabet]  # pre[a][i]: the states letter a leads to state i
+    for rows, a in zip(pre, alphabet):
+        for i, q in enumerate(states):
+            rows[index[trans[(q, a)]]].append(i)
     ids = {}
-    block = {q: ids.setdefault(label[q], len(ids)) for q in states}
-    count = len(ids)
-    while True:
-        nums = {}
-        block = {
-            q: nums.setdefault((block[q], tuple(block[trans[(q, a)]] for a in alphabet)), len(nums))
-            for q in states
-        }
-        if len(nums) == count:
-            return block
-        count = len(nums)
+    blk = [ids.setdefault(label[q], len(ids)) for q in states]  # each state's block
+    elems = sorted(range(n), key=blk.__getitem__)
+    loc, end = [0] * n, [0] * len(ids)  # loc: each state's position in elems
+    for p, i in enumerate(elems):
+        loc[i] = p
+        end[blk[i]] = p + 1
+    first = [0] + end[:-1]  # elems holds the blocks in order of their ids
+    mid, splitters = first[:], list(range(len(ids)))
+    while splitters:
+        b = splitters.pop()
+        members = elems[first[b] : end[b]]
+        for rows in pre:
+            touched = []
+            for j in members:
+                for i in rows[j]:
+                    c, p = blk[i], loc[i]
+                    m = mid[c]
+                    if p >= m:  # unmarked: swap it to the end of the marked front
+                        if m == first[c]:
+                            touched.append(c)
+                        k = elems[m]
+                        elems[p], elems[m], loc[k], loc[i] = k, i, p, m
+                        mid[c] = m + 1
+            for c in touched:
+                f, m, e = first[c], mid[c], end[c]
+                if m == e:  # all marked: no split
+                    mid[c] = f
+                    continue
+                if m - f <= e - m:  # the marked front is the smaller part
+                    lo, hi, first[c] = f, m, m
+                else:
+                    lo, hi, end[c], mid[c] = m, e, m, f
+                new = len(first)
+                first.append(lo)
+                mid.append(lo)
+                end.append(hi)
+                for p in range(lo, hi):
+                    blk[elems[p]] = new
+                splitters.append(new)
+    ids = {}
+    return {q: ids.setdefault(blk[i], len(ids)) for i, q in enumerate(states)}
 
 
 def _quotient(m, label):

@@ -87,7 +87,8 @@ class NumerationSystem:
         """The letters of rep(n): each the first successor whose held row counts more than the rank left."""
         if n < 0:
             raise ValueError("ranks are nonnegative")
-        self._ensure(0, n)
+        if self._cum[-1] <= n:  # the tables stop short of rank n
+            self._ensure(0, n)
         length = bisect_right(self._cum, n) - 1
         n -= self._cum[length]
         q, succ, out = self.language.start, self._succ, []

@@ -4,9 +4,13 @@ Machines have at most 5 states over at most 3 letters.  Every answer is
 checked against exhaustive searches written here, independent of the
 package: ``least_word`` walks all words length by length (keeping, for each
 tuple of states reached, the lexicographically least word of that length),
-and ``distinguishable`` marks state pairs by table filling.
+and ``distinguishable`` marks state pairs by table filling.  The partition
+refinement is also checked against Moore's refinement on total machines of up
+to 40 states, and its work is bounded on counters of thousands of states.
 """
 
+import math
+import sys
 from itertools import combinations
 from unittest.mock import patch
 
@@ -359,3 +363,85 @@ def test_reduce_dfao_drops_states_that_behave_like_the_sink():
     assert r.states == ("q0",)
     assert r.trans == {("q0", "a"): "q0", ("q0", "b"): "q0"}
     assert r.output == {"q0": BOTTOM}
+
+
+# -- _refine against Moore's refinement -------------------------------------------------
+
+
+def moore(states, alphabet, trans, label):
+    """Moore's refinement: split blocks by their states' successor blocks until none splits."""
+    ids = {}
+    block = {q: ids.setdefault(label[q], len(ids)) for q in states}
+    count = len(ids)
+    while True:
+        nums = {}
+        block = {
+            q: nums.setdefault((block[q], tuple(block[trans[(q, a)]] for a in alphabet)), len(nums))
+            for q in states
+        }
+        if len(nums) == count:
+            return block
+        count = len(nums)
+
+
+KERNEL_LABELS = ((True, "0"), (True, "1"), (True, BOTTOM), (False, None))  # as ``kernel`` labels pairs
+
+
+@st.composite
+def total_machines(draw):
+    """A total machine on up to 40 states, its states in shuffled order, and kernel-style labels."""
+    sigma = draw(alphabets())
+    n = draw(st.integers(1, 40))
+    labels = draw(st.lists(st.sampled_from(KERNEL_LABELS), min_size=1, max_size=4))
+    trans = {(f"s{i}", a): f"s{draw(st.integers(0, n - 1))}" for i in range(n) for a in sigma}
+    label = {f"s{i}": draw(st.sampled_from(labels)) for i in range(n)}
+    return draw(st.permutations([f"s{i}" for i in range(n)])), sigma, trans, label
+
+
+@seed(39)
+@settings(CORE, max_examples=300)
+@given(total_machines())
+def test_refine_numbers_the_blocks_of_moores_refinement(machine):
+    assert automata_module._refine(*machine) == moore(*machine)
+
+
+def test_refine_on_one_state_one_letter_and_one_label():
+    one_letter = OrderedAlphabet(("a",))
+    one = (("s",), AB, {("s", "a"): "s", ("s", "b"): "s"}, {"s": (False, None)})
+    cycle = (("x", "y", "z"), one_letter, {("x", "a"): "y", ("y", "a"): "z", ("z", "a"): "x"}, {"x": 1, "y": 0, "z": 0})
+    same = (("x", "y", "z"), AB, {(q, s): "x" for q in "xyz" for s in "ab"}, dict.fromkeys("xyz", (True, "0")))
+    for machine, blocks in ((one, {"s": 0}), (cycle, {"x": 0, "y": 1, "z": 2}), (same, dict.fromkeys("xyz", 0))):
+        assert automata_module._refine(*machine) == moore(*machine) == blocks
+
+
+def _counter(n, finals):
+    """a counts up mod n, b resets to 0."""
+    trans = {(i, "a"): (i + 1) % n for i in range(n)} | {(i, "b"): 0 for i in range(n)}
+    return Dfa(AB, range(n), 0, finals, trans)
+
+
+@pytest.mark.parametrize("n", [1_000, 8_000])
+def test_refine_runs_n_sigma_log_n_lines_on_counters(n):
+    # Moore's refinement takes n rounds on a counter, about n^2 lines in all;
+    # every line the call runs is counted, comprehensions included
+    c = _counter(n, {n - 1})
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        block = automata_module._refine(c.states, AB, c.trans, {q: q in c.finals for q in c.states})
+    finally:
+        sys.settrace(previous)
+    assert len(set(block.values())) == n
+    assert lines <= 4 * n * len(AB) * math.log2(n)
+
+
+def test_minimize_folds_a_counter_mod_2n_onto_n_states():
+    n = 4_000
+    assert len(minimize(_counter(2 * n, {n - 1, 2 * n - 1})).states) == n
