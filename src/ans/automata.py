@@ -22,6 +22,8 @@ word, and the order of discovery is the shortlex order of those words: the
 first state of any set in that order carries the set's least word.  The
 quotient's blocks, and the kernel classes of ``sequences``, come from
 ``_refine``: Hopcroft's partition refinement, O(n·|Σ|·log n) on n states.
+The quotient drops the block a missing transition reads as, so a machine and
+its completion minimize and reduce alike.
 """
 
 from __future__ import annotations
@@ -394,35 +396,36 @@ def _refine(states: Sequence, alphabet: OrderedAlphabet, trans: dict, label: dic
     return {q: ids.setdefault(blk[i], len(ids)) for i, q in enumerate(states)}
 
 
-def _quotient(m, label):
+def _quotient(m, label, missing):
     """Merge the reachable states of `m`, completed, that no word tells apart, canonically renumbered.
 
     States of the completion `c` merge when every word leads them to equal
-    labels ``label(c)``.  The block of its dead state, ``c.states[-1]``, is
-    dropped, so transitions into it go missing again, unless it holds the start.
+    labels ``label(c)``.  The one block labelled `missing` that no letter
+    leaves, complete `m` or not, is dropped unless it holds the start.
     """
     c = m.completed()
-    block = _refine(c.reachable(), c.alphabet, c.trans, label(c))
+    block = _refine(c.reachable(), c.alphabet, c.trans, lab := label(c))
     blocks = dict.fromkeys(block.values())  # ids count up in BFS order, which is the quotient's BFS order
-    sink = block.get(c.states[-1]) if c is not m else None  # None too if the dead state is unreachable
-    if sink not in (None, block[c.start]):
+    closed = (b for q, b in block.items() if lab[q] == missing and all(block[c.trans[q, a]] == b for a in c.alphabet))
+    if sink := next(closed, 0):  # blocks are stable, so one member shows it closed; block 0, the start's, stays
         del blocks[sink]
     name = {b: f"q{i}" for i, b in enumerate(blocks)}
     return c._renamed({q: name[b] for q, b in block.items() if b in name})
 
 
 def minimize(a: Dfa) -> Dfa:
-    """Minimal partial DFA for the language of `a`, canonically renumbered."""
-    return _quotient(a.trimmed(), lambda c: {q: q in c.finals for q in c.states})
+    """Minimal partial DFA for the language of `a`, canonically renumbered; dead states are the dropped block."""
+    return _quotient(a, lambda c: {q: q in c.finals for q in c.states}, False)
 
 
 def reduce_dfao(m: Dfao) -> Dfao:
     """Accessible DFAO merging states indistinguishable by future outputs.
 
     Two states merge exactly when every word leads them to equal outputs,
-    missing transitions counting as ``BOTTOM``; only kept outputs are declared.
+    missing transitions counting as ``BOTTOM``; states outputting it forever
+    go, declared or not, unless one is the start.  Kept outputs are declared.
     """
-    return _quotient(m, lambda c: c.output)
+    return _quotient(m, lambda c: c.output, BOTTOM)
 
 
 def is_empty(a: Dfa) -> bool:

@@ -163,6 +163,7 @@ def test_minimize_keeps_language_and_is_idempotent(a):
     m = minimize(a)
     assert least_word((a, m), lambda q: accepts(a, q[0]) != accepts(m, q[1])) is None
     assert minimize(m) == m
+    assert minimize(a.completed()) == m  # a missing transition and an explicit dead state quotient alike
     # minimal: no two states of the result accept the same language
     step = lambda q, s: _step(m, q, s)
     marked = distinguishable(m.states + (None,), step, lambda q: accepts(m, q), m.alphabet)
@@ -176,8 +177,23 @@ def test_reduce_dfao_keeps_outputs_and_is_idempotent(m):
     r = reduce_dfao(m)
     assert least_word((m, r), lambda q: out(m, q[0]) != out(r, q[1])) is None
     assert reduce_dfao(r) == r
+    assert reduce_dfao(m.completed()) == r  # a missing transition and an explicit ⊥ state quotient alike
     # only the outputs of the kept states are declared, in the input's order
     assert r.output_alphabet == tuple(d for d in m.output_alphabet if d in r.output.values())
+
+
+def _refused(*args):
+    raise AssertionError("minimize runs a trimming pass")
+
+
+@seed(40)
+@CORE
+@given(dfas())
+def test_minimize_makes_no_trimming_pass(a):
+    # dead states fall into the quotient's dropped block: trimming first changes nothing
+    want = minimize(a.trimmed())
+    with patch.object(Dfa, "trimmed", _refused), patch.object(Dfa, "coaccessible", _refused):
+        assert minimize(a) == want
 
 
 # -- distinguishing_word -----------------------------------------------------------
@@ -326,7 +342,7 @@ def test_fibers_name_the_least_overlap_or_gap(data):
     assert least_word((*machines, rebuilt), wrong) is None
 
 
-# -- the completion sink's block -------------------------------------------------------
+# -- the block a missing transition reads as -------------------------------------------------------
 
 
 def test_minimize_empty_language_keeps_one_looping_state():
@@ -344,19 +360,17 @@ def test_reduce_dfao_drops_states_that_behave_like_the_sink():
     sig = OrderedAlphabet(("a", "b"))
     # y outputs the placeholder and has no moves; z outputs it and loops:
     # every future output of both equals the completion sink's
-    m = Dfao(
-        sig,
-        ("x", "y", "z"),
-        "x",
-        {("x", "a"): "y", ("x", "b"): "z", ("z", "a"): "z"},
-        {"x": "0", "y": BOTTOM, "z": BOTTOM},
-        ("0", BOTTOM),
-    )
-    r = reduce_dfao(m)
-    assert r.states == ("q0",)
-    assert r.trans == {}
-    assert r.output == {"q0": "0"}
-    assert r.output_alphabet == ("0",)
+    partial = {("x", "a"): "y", ("x", "b"): "z", ("z", "a"): "z"}
+    # complete: no sink is added, and y and z, looping on every letter, are the ⊥ block
+    complete = {("x", "a"): "y", ("x", "b"): "z"} | {(q, s): q for q in "yz" for s in "ab"}
+    for trans in (partial, complete):
+        m = Dfao(sig, ("x", "y", "z"), "x", trans, {"x": "0", "y": BOTTOM, "z": BOTTOM}, ("0", BOTTOM))
+        assert m.is_complete() == (trans is complete)
+        r = reduce_dfao(m)
+        assert r.states == ("q0",)
+        assert r.trans == {}
+        assert r.output == {"q0": "0"}
+        assert r.output_alphabet == ("0",)
     # ... unless the start itself behaves like the sink
     dead = Dfao(sig, ("x",), "x", {}, {"x": BOTTOM}, (BOTTOM,))
     r = reduce_dfao(dead)

@@ -26,6 +26,7 @@ from ans import (
     canonical_substitution,
     dfao_from_kernel,
     fixed_point,
+    format_substitution,
     kernel,
     numeration,
     sequence,
@@ -96,6 +97,15 @@ def check_words_from(system, count):
 @given(sequences())
 def test_stream_term_and_substitution_agree_with_brute_force(u):
     check_terms(u, N)
+
+
+@seed(50)
+@CORE
+@given(sequences())
+def test_a_machine_and_its_completion_write_one_substitution_file(u):
+    # the reduction drops an explicit ⊥-forever block as it drops the completion's sink
+    write = lambda mach: format_substitution(canonical_substitution(u.system.language, mach))
+    assert write(u.machine.completed()) == write(u.machine)
 
 
 @seed(42)
