@@ -11,6 +11,8 @@ Conventions used throughout the package:
   ``_renamed``, and ``renumbered()`` gives the canonical breadth-first
   naming q0, q1, ... used for serialization.
 * All instances are immutable by contract: no method mutates ``self``.
+* ``is_complete`` counts transitions.  That is exact because the constructor
+  checks that every key is a (state, letter) tuple, and instances are immutable.
 
 Every product of machines read in parallel (``product``, ``intersect``,
 ``union``, ``difference``, ``distinguishing_word``, and the kernel and fiber
@@ -29,6 +31,7 @@ its completion minimize and reduce alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError
@@ -90,19 +93,30 @@ class _Machine:
     start: State
     trans: dict
 
-    def _check_core(self):
-        seen = set()
-        for q in self.states:
-            if q in seen:
-                raise ValueError(f"duplicate state {q!r}")
-            seen.add(q)
+    def _check_core(self) -> set:
+        """Check the states, start and transitions; return the set of states.
+
+        Each check is one set operation; a loop runs only when one fails, to name the first offender in order.
+        """
+        seen = set(self.states)
+        if len(seen) < len(self.states):
+            met = set()  # set.add returns None, so the generator yields the first state met twice
+            raise ValueError(f"duplicate state {next(q for q in self.states if q in met or met.add(q))!r}")
         if self.start not in seen:
             raise ValueError(f"start state {self.start!r} not among states")
-        for (q, a), q2 in self.trans.items():
-            if q not in seen or q2 not in seen:
-                raise ValueError(f"transition {(q, a, q2)!r} uses an undeclared state")
-            if a not in self.alphabet:
-                raise ValueError(f"transition {(q, a, q2)!r} uses a symbol outside the alphabet")
+        keys = self.trans.keys()
+        pairs = set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
+        if not (pairs and set(self.alphabet.symbols).issuperset(map(itemgetter(1), keys))
+                and seen.issuperset(map(itemgetter(0), keys)) and seen.issuperset(self.trans.values())):
+            for key, q2 in self.trans.items():
+                if not (isinstance(key, tuple) and len(key) == 2):
+                    raise ValueError(f"transition key {key!r} is not a (state, letter) pair")
+                q, a = key
+                if q not in seen or q2 not in seen:
+                    raise ValueError(f"transition {(q, a, q2)!r} uses an undeclared state")
+                if a not in self.alphabet:
+                    raise ValueError(f"transition {(q, a, q2)!r} uses a symbol outside the alphabet")
+        return seen
 
     def run(self, word: Iterable) -> State | None:
         """State reached from the start, or None if undefined."""
@@ -118,7 +132,7 @@ class _Machine:
         order = [self.start]
         seen = {self.start}
         for q in order:
-            for a in self.alphabet:
+            for a in self.alphabet.symbols:
                 q2 = self.trans.get((q, a))
                 if q2 is not None and q2 not in seen:
                     seen.add(q2)
@@ -126,7 +140,7 @@ class _Machine:
         return tuple(order)
 
     def is_complete(self) -> bool:
-        return all((q, a) in self.trans for q in self.states for a in self.alphabet)
+        return len(self.trans) == len(self.states) * len(self.alphabet)
 
     def _fresh_state(self, base: str) -> State:
         name = base
@@ -146,7 +160,7 @@ class _Machine:
             return self
         sink = self._fresh_state(DEAD)
         states = self.states + (sink,)
-        trans = {(q, a): self.trans.get((q, a), sink) for q in states for a in self.alphabet}
+        trans = {(q, a): self.trans.get((q, a), sink) for q in states for a in self.alphabet.symbols}
         return replace(self, states=states, trans=trans, **self._sink_fields(sink))
 
     def renumbered(self, prefix: str = "q"):
@@ -181,8 +195,7 @@ class Dfa(_Machine):
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "finals", frozenset(self.finals))
-        self._check_core()
-        if not self.finals <= set(self.states):
+        if not self.finals <= self._check_core():
             raise ValueError("final states must be declared states")
 
     def accepts(self, word: Iterable) -> bool:
@@ -228,15 +241,16 @@ class Dfao(_Machine):
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "output_alphabet", tuple(self.output_alphabet))
-        self._check_core()
+        seen = self._check_core()
         allowed = set(self.output_alphabet)
         if len(allowed) != len(self.output_alphabet):
             raise ValueError("duplicate symbols in output alphabet")
-        for q in self.states:
-            if q not in self.output:
-                raise ValueError(f"state {q!r} has no output symbol")
-            if self.output[q] not in allowed:
-                raise ValueError(f"state {q!r} outputs {self.output[q]!r}, outside the output alphabet")
+        if not (seen <= self.output.keys() and allowed.issuperset(map(self.output.__getitem__, self.states))):
+            for q in self.states:
+                if q not in self.output:
+                    raise ValueError(f"state {q!r} has no output symbol")
+                if self.output[q] not in allowed:
+                    raise ValueError(f"state {q!r} outputs {self.output[q]!r}, outside the output alphabet")
 
     def transform(self, word: Iterable):
         """Output at the state reached by `word`; ValueError if the run dies."""
@@ -446,7 +460,7 @@ def is_infinite(a: Dfa) -> bool:
         indegree[q2] += 1
     free = [q for q in t.states if not indegree[q]]
     for q in free:
-        for s in t.alphabet:
+        for s in t.alphabet.symbols:
             q2 = t.trans.get((q, s))
             if q2 is not None:
                 indegree[q2] -= 1

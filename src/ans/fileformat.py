@@ -34,7 +34,7 @@ EPS = "@eps"
 
 def _lines(text: str):
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield ln, line
 
@@ -51,9 +51,9 @@ def _parse_machine(text: str, path: str, with_output: bool):
     output_lines: dict = {}  # line number -> tokens
     trans_lines: dict = {}
     for ln, line in _lines(text):
-        if ":" not in line:
+        key, colon, rest = line.partition(":")
+        if not colon:
             raise FormatError(path, ln, f"expected 'directive: ...', got {line!r}")
-        key, rest = line.split(":", 1)
         key = key.strip()
         toks = rest.split()
         # transitions and outputs make up most of a file, so they are tested first
@@ -66,7 +66,8 @@ def _parse_machine(text: str, path: str, with_output: bool):
                 raise FormatError(path, ln, "plain automata use 'final:' lines, not 'output:'")
             if len(toks) != 2:
                 raise FormatError(path, ln, "output line needs 'output: STATE SYMBOL'")
-            _check_identifier(toks[1], path, ln, allow_bottom=True)
+            if toks[1].startswith("@"):  # the only reserved form an output can take
+                _check_identifier(toks[1], path, ln, allow_bottom=True)
             output_lines[ln] = toks
         elif key in ("alphabet", "states", "start", "final"):
             if key == "final" and with_output:
@@ -92,7 +93,7 @@ def _parse_machine(text: str, path: str, with_output: bool):
     alphabet = OrderedAlphabet(tuple(header["alphabet"]))
     states = tuple(header["states"])
     start = header["start"][0]
-    state_set = set(states)
+    state_set, letters = set(states), set(alphabet.symbols)
     if start not in state_set:
         raise FormatError(path, 0, f"start state {start!r} is not declared")
     table: dict = {}
@@ -101,7 +102,7 @@ def _parse_machine(text: str, path: str, with_output: bool):
             raise FormatError(path, ln, f"unknown state {src!r}")
         if dst not in state_set:
             raise FormatError(path, ln, f"unknown state {dst!r}")
-        if sym not in alphabet:
+        if sym not in letters:
             raise FormatError(path, ln, f"symbol {sym!r} is not in the alphabet")
         if (src, sym) in table:
             raise FormatError(path, ln, f"duplicate transition from {src!r} on {sym!r}")
@@ -144,7 +145,7 @@ def _format_machine(machine, final_or_output_lines) -> str:
     ]
     lines.extend(final_or_output_lines(names))
     for q in machine.states:
-        for a in machine.alphabet:
+        for a in machine.alphabet.symbols:
             q2 = machine.trans.get((q, a))
             if q2 is not None:
                 lines.append(f"trans: {names[q]} {a} {names[q2]}")
@@ -160,7 +161,7 @@ def format_dfa(dfa: Dfa) -> str:
 
 
 def format_dfao(m: Dfao) -> str:
-    _require_readable(_readable, (m.output[q] for q in m.states), "output symbol")
+    _require_readable(_readable, dict.fromkeys(map(m.output.__getitem__, m.states)), "output symbol")
 
     def outputs(names):
         return [f"output: {names[q]} {m.output[q]}" for q in m.states]
@@ -272,7 +273,7 @@ def parse_substitution(text: str, path: str = "<substitution>") -> Substitution:
 
 def _readable(x: str) -> bool:
     """Whether the parser reads `x` back as one token: nonempty, no whitespace or '#', no leading '@'."""
-    return x != "" and not any(c.isspace() or c == "#" for c in x) and not x.startswith("@")
+    return x.split() == [x] and "#" not in x and not x.startswith("@")
 
 
 def _require_readable(readable, symbols, what: str):

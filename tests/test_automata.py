@@ -261,3 +261,59 @@ def test_counter_products_keep_parent_links_not_access_words():
         tracemalloc.stop()
     assert len(pm.dfao.states) == n
     assert peak <= 10 * 2**20
+
+
+# Each bad machine and the exact ValueError its constructor raises: a Dfa
+# (finals given) or a Dfao (outputs and output alphabet given), over a < b.
+GOOD = {("p", "a"): "q", ("q", "b"): "p"}
+OUT = {"p": "0", "q": "1"}
+CONSTRUCTOR_MESSAGES = [
+    (("p", "q", "q", "p"), "p", GOOD, {"p"}, "duplicate state 'q'"),
+    (("p", "q"), "r", GOOD, {"p"}, "start state 'r' not among states"),
+    (("p", "q"), "p", {**GOOD, ("q", "a"): "r"}, {"p"}, "transition ('q', 'a', 'r') uses an undeclared state"),
+    (("p", "q"), "p", {("r", "a"): "p", **GOOD}, {"p"}, "transition ('r', 'a', 'p') uses an undeclared state"),
+    (("p", "q"), "p", {**GOOD, ("p", "c"): "q"}, {"p"},
+     "transition ('p', 'c', 'q') uses a symbol outside the alphabet"),
+    # two bad transitions: the first in the table's order is named
+    (("p", "q"), "p", {("p", "c"): "q", ("q", "a"): "r"}, {"p"},
+     "transition ('p', 'c', 'q') uses a symbol outside the alphabet"),
+    (("p", "q"), "p", {("q", "a"): "r", ("p", "c"): "q"}, {"p"}, "transition ('q', 'a', 'r') uses an undeclared state"),
+    (("p", "q"), "p", GOOD, {"p", "r"}, "final states must be declared states"),
+    (("p", "q", "q"), "p", GOOD, (OUT, ("0", "1")), "duplicate state 'q'"),
+    (("p", "q"), "p", {**GOOD, ("p", "c"): "p"}, (OUT, ("0", "1")),
+     "transition ('p', 'c', 'p') uses a symbol outside the alphabet"),
+    (("p", "q"), "p", GOOD, (OUT, ("0", "1", "0")), "duplicate symbols in output alphabet"),
+    (("p", "q"), "p", GOOD, ({"p": "0"}, ("0", "1")), "state 'q' has no output symbol"),
+    (("p", "q"), "p", GOOD, ({"p": "2", "q": "1"}, ("0", "1")), "state 'p' outputs '2', outside the output alphabet"),
+    # a missing output and one outside the output alphabet: the first state in order is named
+    (("p", "q"), "p", GOOD, ({"p": "2"}, ("0", "1")), "state 'p' outputs '2', outside the output alphabet"),
+    (("p", "q"), "p", GOOD, ({"q": "2"}, ("0", "1")), "state 'p' has no output symbol"),
+]
+
+
+@pytest.mark.parametrize("states, start, trans, rest, message", CONSTRUCTOR_MESSAGES)
+def test_constructor_messages(states, start, trans, rest, message):
+    with pytest.raises(ValueError) as err:
+        if isinstance(rest, tuple):
+            Dfao(AB, states, start, trans, *rest)
+        else:
+            Dfa(AB, states, start, rest, trans)
+    assert str(err.value) == message
+
+
+# Transition keys that are not (state, letter) tuples.  No lookup reads them
+# and is_complete counts keys, so the constructor names them, even a 2-item
+# key such as "pb" that would unpack as a pair.
+KEY_MESSAGES = [
+    (("p", "q"), "p", {**GOOD, "pb": "q"}, {"p"}, "transition key 'pb' is not a (state, letter) pair"),
+    (("p", "q"), "p", {("p", "b", "a"): "q", **GOOD}, {"p"},
+     "transition key ('p', 'b', 'a') is not a (state, letter) pair"),
+    (("p", "q"), "p", {**GOOD, frozenset({1, 2}): "q"}, (OUT, ("0", "1")),
+     "transition key frozenset({1, 2}) is not a (state, letter) pair"),
+    (("p", "q"), "p", {("q", "a"): "r", "pb": "q"}, {"p"}, "transition ('q', 'a', 'r') uses an undeclared state"),
+]
+
+
+@pytest.mark.parametrize("states, start, trans, rest, message", KEY_MESSAGES)
+def test_constructor_names_keys_that_are_not_pairs(states, start, trans, rest, message):
+    test_constructor_messages(states, start, trans, rest, message)

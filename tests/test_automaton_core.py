@@ -145,6 +145,11 @@ def distinguishable(states, step, label, sigma) -> set:
     return marked
 
 
+def complete(m):
+    """Whether every state has a transition on every letter, pair by pair."""
+    return all((q, a) in m.trans for q in m.states for a in m.alphabet)
+
+
 def accepts(m, q):
     return q is not None and q in m.finals
 
@@ -160,6 +165,7 @@ def out(m, q):
 @CORE
 @given(dfas())
 def test_minimize_keeps_language_and_is_idempotent(a):
+    assert all(x.is_complete() == complete(x) for x in (a, a.completed(), a.trimmed()))
     m = minimize(a)
     assert least_word((a, m), lambda q: accepts(a, q[0]) != accepts(m, q[1])) is None
     assert minimize(m) == m
@@ -174,6 +180,7 @@ def test_minimize_keeps_language_and_is_idempotent(a):
 @CORE
 @given(dfaos())
 def test_reduce_dfao_keeps_outputs_and_is_idempotent(m):
+    assert all(x.is_complete() == complete(x) for x in (m, m.completed()))
     r = reduce_dfao(m)
     assert least_word((m, r), lambda q: out(m, q[0]) != out(r, q[1])) is None
     assert reduce_dfao(r) == r

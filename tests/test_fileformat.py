@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import example, given, seed, strategies as st
 
+from ans import fileformat
 from ans import (
     BOTTOM,
     AnsError,
@@ -75,6 +77,23 @@ def test_names_with_the_comment_mark_round_trip_or_are_refused():
     coding = Morphism(AB, OrderedAlphabet(("x y", "z")), {"a": ("x y",), "b": ("z",)})
     with pytest.raises(AnsError, match="coding letter 'x y'"):
         format_substitution(Substitution(phi, coding, "a"))
+
+
+# characters str.isspace counts beyond the ASCII blanks (no-break, em space, line
+# separator, the information separators, next line), the comment mark and "@"
+ODD = "\u00a0\u2003\u2028\x1c\x1d\x1e\x1f\x85 \t#@"
+
+
+@seed(41)
+@given(st.text(st.sampled_from(ODD + "ab") | st.characters(), max_size=6))
+@example("")
+@example("@a")
+@example("a@")
+@example("a\u00a0")
+@example("\x1c")
+def test_readable_is_the_per_character_definition(x):
+    per_character = x != "" and not any(c.isspace() or c == "#" for c in x) and not x.startswith("@")
+    assert fileformat._readable(x) == per_character
 
 
 def test_format_parse_preserves_language():
