@@ -31,6 +31,7 @@ its completion minimize and reduce alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import inf
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -447,26 +448,74 @@ def is_empty(a: Dfa) -> bool:
 
 
 def is_infinite(a: Dfa) -> bool:
-    """True iff `a` accepts infinitely many words (cycle in the trimmed part).
-
-    Peeling off states with no incoming transitions left, over and over,
-    removes exactly the states on no cycle and reached from none.
-    """
+    """True iff `a` accepts infinitely many words: its start's growth class once trimmed is not finite."""
     t = a.trimmed()
-    if not t.finals:  # trimming keeps every reached final state
-        return False
-    indegree = dict.fromkeys(t.states, 0)
-    for q2 in t.trans.values():
-        indegree[q2] += 1
-    free = [q for q in t.states if not indegree[q]]
-    for q in free:
-        for s in t.alphabet.symbols:
-            q2 = t.trans.get((q, s))
-            if q2 is not None:
-                indegree[q2] -= 1
-                if not indegree[q2]:
-                    free.append(q2)
-    return len(free) < len(t.states)
+    return _growth(t)[t.start] >= 0
+
+
+def _growth(a: Dfa) -> dict:
+    """How the words read from each state of a trimmed DFA grow with their length m.
+
+    -1 if they are finitely many, d >= 0 if O(m^d) are of length m, ``inf``
+    if exponentially many.  By Szilard, Yu, Zhang & Shallit (MFCS 1992) the
+    growth is polynomial iff every strongly connected component reached is
+    trivial or a single cycle, which it is iff it has no more inner edges
+    than states; d + 1 is then the most cycles on one path.  One iterative
+    Tarjan pass closes the components sinks first, so each one's class
+    follows from its inner edges and the classes it reaches.
+    """
+    if not a.finals:  # trimming keeps the start alone, dead
+        return dict.fromkeys(a.states, -1)
+    num = {q: i for i, q in enumerate(a.states)}
+    nxt: list = [[] for _ in a.states]
+    for (q, _a), q2 in a.trans.items():
+        nxt[num[q]].append(num[q2])
+    n = len(nxt)
+    # by state number: order of discovery (-1 before it), least discovery reached, class (None on the stack)
+    index, low, growth, stack, seen = [-1] * n, [0] * n, [None] * n, [], 0
+    for top in range(n):
+        if index[top] >= 0:
+            continue
+        index[top] = low[top] = seen
+        seen += 1
+        stack.append(top)
+        path = [(top, iter(nxt[top]))]
+        while path:
+            q, kids = path[-1]
+            for q2 in kids:
+                if index[q2] < 0:
+                    index[q2] = low[q2] = seen
+                    seen += 1
+                    stack.append(q2)
+                    path.append((q2, iter(nxt[q2])))
+                    break
+                if growth[q2] is None and index[q2] < low[q]:
+                    low[q] = index[q2]
+            else:
+                path.pop()
+                k = low[q]
+                if k < index[q]:  # q's component closes further down the path
+                    p = path[-1][0]
+                    if k < low[p]:
+                        low[p] = k
+                    continue
+                i = len(stack) - 1
+                while stack[i] != q:
+                    i -= 1
+                comp = stack[i:]
+                del stack[i:]
+                inner, deg = 0, -1
+                for p in comp:
+                    for q2 in nxt[p]:
+                        g = growth[q2]
+                        if g is None:
+                            inner += 1
+                        elif g > deg:
+                            deg = g
+                g = inf if inner > len(comp) else deg + (inner > 0)
+                for p in comp:
+                    growth[p] = g
+    return dict(zip(a.states, growth))
 
 
 def distinguishing_word(a: Dfa, b: Dfa) -> Word | None:

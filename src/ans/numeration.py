@@ -8,13 +8,18 @@ integers, so arbitrarily large values are exact.
 Counting tables u_q(m) = number of accepted words of length m readable from
 state q are filled lazily and memoized, one length at a time, and each state
 holds its successors' rows.  rep, val and ``AutomaticSequence.term`` read
-those held rows along one word; every shortlex listing (words, machine
-sequences, kernel subsequences, ``Substitution.generate``) is one
-depth-first walk, ``_walk``, that enters only subtrees with a nonzero count
-and crosses each run of one-child nodes in one step.  Listings of words
-read it leaf by leaf; listings of outputs read it in blocks: a node with at
-most ``BLOCK`` words yields all their outputs as one tuple, memoized by the
-node and the state carried into it.
+those held rows along one word.  Every shortlex listing of words
+(``enumerate``, ``words_from``) reads, leaf by leaf, one depth-first walk,
+``_walk``, that enters only subtrees with a nonzero count and crosses each
+run of one-child nodes in one step.  Listings of outputs (machine
+sequences, kernel subsequences, ``Substitution.generate``) take their path
+by how the words read from their root grow, which one pass over the
+language's components gives every state when the system is built.  From a
+root with polynomially many words per length, ``_levels`` builds each
+length's outputs from the last length's with the pair morphism of the
+paper's main theorem.  From any other root the walk yields them in blocks: a
+node with at most ``BLOCK`` words yields all their outputs as one tuple,
+memoized by the node and the state carried into it.
 Instances never mutate their public state; concurrent readers either
 tolerate the appends the cache performs or synchronize externally.
 """
@@ -22,14 +27,14 @@ tolerate the appends the cache performs or synchronize externally.
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import inf
 from typing import Iterator
 
-from .automata import Dfa, OrderedAlphabet, Word, is_infinite
+from .automata import Dfa, OrderedAlphabet, Word, _growth
 from .errors import FiniteLanguageError, NotInLanguageError
 
 BLOCK = 64  # a node with at most this many words yields their outputs as one tuple
 MEMO_LETTERS = 1 << 16  # outputs a walk keeps in memoized blocks; later blocks are built but not kept
-STRIDE = 32  # one-child runs keep where they end at the lengths that this divides
 
 
 class NumerationSystem:
@@ -37,7 +42,9 @@ class NumerationSystem:
 
     def __init__(self, language: Dfa):
         lang = language.trimmed()
-        if not is_infinite(lang):
+        # by state: -1, d >= 0 or inf as its words of length m are finitely many, O(m^d) or exponentially many
+        self._growth: dict = _growth(lang)
+        if self._growth[lang.start] < 0:
             raise FiniteLanguageError(
                 "the language is finite or empty; a numeration system needs infinitely many words"
             )
@@ -172,34 +179,38 @@ class NumerationSystem:
         through its one-child chain to the next branching node or leaf.
         Each node also carries the state of a second transition map `step`,
         entered at `carried` and defined on every letter the walk reads;
-        the state at a chain's end is memoized per state at its start.  So
-        where the words of length m grow at least linearly in m, a word
-        costs amortized constant work.  The bottom level's one child is the
-        root, reached by the empty chain, so each tree is entered by the one
-        descent step.  Accepted lengths from a live state are at most
-        #states apart, so #states + 1 empty lengths in a row end it.
+        the state at a chain's end is memoized per state at its start.  The
+        bottom level's one child is the root, reached by the empty chain, so
+        each tree is entered by the one descent step.  Accepted lengths from
+        a live state are at most #states apart, so #states + 1 empty lengths
+        in a row end it.
 
         Leaf mode (`out` None): each leaf yields the stack, whose levels hold
         the chains that reached them, its own chain and the carried state.
         The walk starts at `word`, an accepted word, or else at the least
-        word.
+        word.  Where the words of length m grow at least linearly in m, a
+        leaf costs amortized constant carried steps.
 
         Block mode (`out` maps carried states at leaves to outputs; no
-        `word`): a node with at most ``BLOCK`` words yields the tuple of
-        their outputs, and only larger nodes are stacked.  By the paper's
-        main theorem the sequence is the coded fixed point of a morphism on
-        (language state, carried state) pairs, so a block depends only on
-        the node's state, its remaining length and the state carried into
-        it.  Blocks are built from their children's blocks and memoized
-        under those three, up to ``MEMO_LETTERS`` outputs per walk; a tree's
-        root is met once and not kept.  A child is first followed down its
-        one-child run to a leaf or a branching node, whose count is smaller,
-        so the recursion is at most ``BLOCK`` deep.  Where a run crosses a
-        length that ``STRIDE`` divides, its end is memoized per carried
-        state, so a run that is new in each tree (over a one-letter
-        language, every tree is one) costs about ``STRIDE`` steps, not its
-        length.
+        `word`): yields tuples of outputs.  From a root whose words grow
+        polynomially, ``_levels`` yields one length's outputs at a time.
+        From a finite or exponential root, a node with at most ``BLOCK``
+        words yields the tuple of their outputs, and only larger nodes are
+        stacked.  By the paper's main theorem the sequence is the coded
+        fixed point of a morphism on (language state, carried state) pairs,
+        so a block depends only on the node's state, its remaining length
+        and the state carried into it.  Blocks are built from their
+        children's blocks and memoized under those three, up to
+        ``MEMO_LETTERS`` outputs per walk; a tree's root is met once and not
+        kept.  A child is first followed down its one-child run, letter by
+        letter, to a leaf or a branching node, whose count is smaller, so
+        the recursion is at most ``BLOCK`` deep.  A run thus costs its
+        length: from a polynomial root most words would sit at the end of
+        one, which is why those roots take the level path.
         """
+        if out is not None and 0 <= self._growth[root] < inf:
+            yield from self._levels(root, step, carried, out)
+            return
         counts, succ = self._counts, self._succ
 
         # branching (state, remaining length) -> its live children, as chains.
@@ -232,31 +243,19 @@ class NumerationSystem:
                     row.append((tuple(letters), q2, r2, {}))
             return row
 
-        # blocks: (state, remaining length, carried state) of a branching node
-        # -> its outputs; runs: the same of a one-child node at a length that
-        # STRIDE divides -> the same of the leaf or branching node ending its run
-        blocks, runs, room = {}, {}, MEMO_LETTERS
+        # blocks: (state, remaining length, carried state) of a branching node -> its outputs
+        blocks, room = {}, MEMO_LETTERS
 
         def block(q, r, c):
             """The outputs on the words of length r from the live node (q, r), entered at `c`."""
             nonlocal room
-            passed = []
             while r:  # down the one-child run to a branching node or a leaf
-                if not r % STRIDE:
-                    end = runs.get((q, r, c))
-                    if end is not None:
-                        q, r, c = end
-                        break
                 for a, q2, held in succ[q]:
                     if held[r - 1]:
                         break
                 if held[r - 1] < counts[q][r]:
                     break
-                if not r % STRIDE:
-                    passed.append((q, r, c))
                 q, r, c = q2, r - 1, step[(c, a)]
-            for key in passed:
-                runs[key] = (q, r, c)
             if not r:
                 return (out[c],)
             got = blocks.get((q, r, c))
@@ -308,3 +307,35 @@ class NumerationSystem:
                         yield (blocks.get((q, r, c)) or block(q, r, c)) if r else (out[c],)
                 else:
                     stack.pop()
+
+    def _levels(self, root, step, carried, out) -> Iterator[tuple]:
+        """Block mode from a root whose words grow polynomially: one length's outputs at a time.
+
+        The outputs on the words of length r read from a pair x = (language
+        state, carried state) are those of x's successors at length r - 1,
+        joined in letter order: the pair morphism of the paper's main
+        theorem, applied to whole length slices.  The pairs reachable from
+        (root, carried) are found once.  Each length is then one tuple
+        concatenation per pair, at C speed, and the root's slice is yielded
+        unless it is empty.  A length r holds Σ_x count(x, r) outputs over
+        those pairs x; while the next length is built, its outputs are held
+        too, and the partial join of one pair.  From an exponential root
+        most of those outputs are never yielded, and from a finite one the
+        stream would never end: both take the walk.
+        """
+        succ, finals, start = self._succ, self.language.finals, (root, carried)
+        pairs, kids = [start], {start: ()}  # pair -> its successor pairs, in letter order
+        for x in pairs:
+            q, c = x
+            kids[x] = row = tuple((q2, step[(c, a)]) for a, q2, _row in succ[q])
+            for y in row:
+                if y not in kids:
+                    kids[y] = ()
+                    pairs.append(y)
+        rows = tuple(kids.items())
+        level = {x: (out[x[1]],) if x[0] in finals else () for x in pairs}
+        while True:
+            if level[start]:
+                yield level[start]
+            get = level.__getitem__
+            level = {x: sum(map(get, row), ()) for x, row in rows}

@@ -40,11 +40,13 @@ SequenceStream = Iterator
 def _outputs(system: NumerationSystem, complete: Dfao, prefix: Word = ()) -> SequenceStream:
     """Outputs of a complete machine on the accepted words `prefix` z, in shortlex order of z.
 
-    The walk carries the machine's state down the tree and across each
-    one-child chain in one step, and no word is built.  It yields the
-    outputs in blocks, one tuple per node of at most ``BLOCK`` words,
-    memoized by the node and the machine's state on entering it
-    (``NumerationSystem._walk``), and the stream flattens them.
+    No word is built: ``NumerationSystem._walk`` yields the outputs in
+    tuples, and the stream flattens them.  If the words read after `prefix`
+    grow polynomially, each tuple is one length's outputs, built from the
+    last length's by the morphism on (language state, machine state) pairs.
+    Otherwise the walk carries the machine's state down the tree and yields
+    one tuple per node of at most ``BLOCK`` words, memoized by the node and
+    the machine's state on entering it.
     """
     root = system.language.run(prefix)
     if root is None:

@@ -140,7 +140,15 @@ class Substitution:
         object.__setattr__(self, "_system", system)
 
     def generate(self) -> Iterator:
-        """Stream h(phi^omega(seed)): h(seed), then the walk's blocks of coded letters."""
+        """Stream h(phi^omega(seed)): h(seed), then the coded letters in the tuples of ``_walk``.
+
+        The words of length m of the system's language reach the letters
+        that phi^m(seed) adds to phi^(m-1)(seed), in order.  Where their
+        number grows polynomially in m, each tuple holds the coded letters
+        of one length, built from the last length's by phi; otherwise a
+        tuple holds those of a node of at most ``BLOCK`` words, memoized by
+        the node.
+        """
         lang = self._system.language
         coded = {x: img[0] for x, img in self.coding.images.items() if img}
         blocks = self._system._walk(lang.start, lang.trans, lang.start, out=coded)

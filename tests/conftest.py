@@ -1,6 +1,8 @@
 """Shared machines, systems, and brute-force oracles for the test suite."""
 
+from functools import cache
 from itertools import islice, product as iproduct
+from math import inf
 
 import pytest
 
@@ -144,6 +146,64 @@ def brute_words(dfa: Dfa, max_len: int):
             if dfa.accepts(w):
                 out.append(w)
     return out
+
+
+def brute_growth(dfa: Dfa) -> dict:
+    """How the words read from each state grow with their length m, by definition.
+
+    -1 if they are finitely many, d if O(m^d) of them have length m, ``inf``
+    if exponentially many.  Only live states count, those that reach a final
+    state.  Two live states share a component when each reaches the other;
+    a component with more transitions inside than states grows
+    exponentially, and otherwise d + 1 is the most components with a
+    transition inside on one path of the condensation.
+    """
+    sigma = dfa.alphabet.symbols
+
+    def reach(q):
+        seen, todo = {q}, [q]
+        for p in todo:
+            for a in sigma:
+                p2 = dfa.trans.get((p, a))
+                if p2 is not None and p2 not in seen:
+                    seen.add(p2)
+                    todo.append(p2)
+        return seen
+
+    reached = {q: reach(q) for q in dfa.states}
+    live = {q for q in dfa.states if reached[q] & dfa.finals}
+    comp = {q: frozenset(p for p in reached[q] & live if q in reached[p]) for q in live}
+
+    def inside(c):
+        return sum(dfa.trans.get((p, a)) in c for p in c for a in sigma)
+
+    @cache
+    def cycles(c):
+        after = {comp[q2] for p in c for a in sigma if (q2 := dfa.trans.get((p, a))) in live} - {c}
+        return (inside(c) > 0) + max(map(cycles, after), default=0)
+
+    def growth(q):
+        if q not in live:
+            return -1
+        if any(inside(comp[p]) > len(comp[p]) for p in reached[q] & live):
+            return inf
+        return cycles(comp[q]) - 1
+
+    return {q: growth(q) for q in dfa.states}
+
+
+def took_levels(make, count=1) -> list:
+    """The roots that the first `count` items of the stream `make()` read by the level path."""
+    roots, levels = [], NumerationSystem._levels
+
+    def spied(self, root, *args):
+        roots.append(root)
+        return levels(self, root, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NumerationSystem, "_levels", spied)
+        sum(1 for _ in islice(make(), count))
+    return roots
 
 
 def popcount_parity(n: int) -> str:

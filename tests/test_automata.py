@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from itertools import product as iproduct
+from math import inf
 
 import pytest
 from hypothesis import given, seed, strategies as st
@@ -21,7 +22,8 @@ from ans import (
     reduce_dfao,
     union,
 )
-from conftest import AB, ab_star_dfa, binary_like_dfa, brute_words, teaching_dfao
+from ans.automata import _growth
+from conftest import AB, ab_star_dfa, binary_like_dfa, brute_growth, brute_words, teaching_dfao
 from test_automaton_core import CORE, dfas
 
 
@@ -157,6 +159,43 @@ def test_is_infinite_agrees_with_brute_force(a):
     n = len(a.states)
     lengths = range(n, 2 * n)
     assert is_infinite(a) == any(a.accepts(w) for k in lengths for w in iproduct(a.alphabet, repeat=k))
+
+
+@seed(51)
+@CORE
+@given(dfas())
+def test_growth_classes_agree_with_their_definition(a):
+    t = a.trimmed()
+    want = brute_growth(a)
+    assert _growth(t) == {q: want[q] for q in t.states}
+
+
+def test_growth_classes_of_sparse_random_machines():
+    # mostly forward transitions and self-loops, so that cycles line up on
+    # paths and polynomial degrees above 1 occur
+    rng, seen = random.Random(52), set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        trans = {(q, a): rng.choice([q, rng.randrange(q, n), rng.randrange(n)]) for q in range(n) for a in "ab"}
+        trans = {k: q2 for k, q2 in trans.items() if rng.random() < 0.6}
+        a = Dfa(AB, range(n), 0, frozenset(q for q in range(n) if rng.random() < 0.3), trans)
+        t = a.trimmed()
+        got, want = _growth(t), brute_growth(a)
+        assert got == {q: want[q] for q in t.states}
+        seen |= set(got.values())
+    assert {-1, 0, 1, 2, 3, inf} <= seen
+
+
+@pytest.mark.parametrize("shape", ["cycle", "chain"])
+def test_growth_classes_of_100_000_states_need_no_recursion(shape):
+    n = 100_000
+    trans = {(i, "a"): i + 1 for i in range(n - 1)}
+    if shape == "cycle":
+        trans[n - 1, "a"] = 0
+    a = Dfa(OrderedAlphabet(("a",)), range(n), 0, frozenset({n - 1}), trans)
+    want = 0 if shape == "cycle" else -1
+    assert set(_growth(a).values()) == {want}
+    assert is_infinite(a) == (shape == "cycle")
 
 
 def test_equivalence_and_witnesses():

@@ -27,6 +27,7 @@ from conftest import (
     squares_dfa,
     teaching_dfao,
     thue_morse_dfao,
+    took_levels,
 )
 from ans import system_from_morphism
 
@@ -290,9 +291,19 @@ C_THEN_A_OR_B = Dfa(
     ABC, ("s", "t", "x", "y"), "s", frozenset({"t", "x", "y"}),
     {("s", "c"): "t", ("t", "a"): "x", ("x", "a"): "x", ("t", "b"): "y", ("y", "b"): "y"},
 )
+# (a+b)*c(a*+b*): under each word of (a+b)*c, a node with two words, each ending in a run as long as the node is deep
+EXP_RUNS = Dfa(
+    ABC, ("s", "t", "x", "y"), "s", frozenset({"t", "x", "y"}),
+    {("s", "a"): "s", ("s", "b"): "s", ("s", "c"): "t", ("t", "a"): "x", ("x", "a"): "x", ("t", "b"): "y", ("y", "b"): "y"},
+)
 LETTERS_MOD_3 = Dfao(
     ABC, ("0", "1", "2"), "0", {(str(i), a): str((i + 1) % 3) for i in range(3) for a in "abc"},
     {"0": "x", "1": "y", "2": "y"}, ("x", "y"),
+)
+# a word's number in bijective base 3 (a, b, c the digits 1, 2, 3), mod 1024
+WORDS_MOD_1024 = Dfao(
+    ABC, tuple(range(1024)), 0, {(i, a): (3 * i + d) % 1024 for i in range(1024) for d, a in enumerate("abc", 1)},
+    {i: "xy"[i % 2] for i in range(1024)}, ("x", "y"),
 )
 
 
@@ -310,22 +321,33 @@ def leaf_stream(system, machine):
 
 
 @pytest.mark.parametrize("room", [0, numeration.MEMO_LETTERS], ids=["no-memo", "memo"])
-@pytest.mark.parametrize("case", ["one-letter", "ab-star"])
+@pytest.mark.parametrize("case", ["one-letter", "ab-star", "c-then-a-or-b", "exponential"])
 def test_block_stream_is_linear_past_the_memo_budget(monkeypatch, case, room):
-    # a block recursion that followed runs letter by letter would go as deep
-    # as the word, and one that crossed each new run letter by letter would
-    # cost its length: over a* each tree is one new run from the root
+    # a recursion that followed runs letter by letter would go as deep as the
+    # word.  Over a* each tree is one new run from the root, over c(a*+b*)
+    # two, and over a*b* most words end in one: the level path reads the
+    # machine once per pair.
+    # Under an exponential root the walk crosses each run letter by letter,
+    # and the tree repays it.
     monkeypatch.setattr(numeration, "MEMO_LETTERS", room)
     n = 100_000
-    lang, machine = (A_STAR, PARITY) if case == "one-letter" else (ab_star_dfa(), teaching_dfao())
+    lang, machine = {
+        "one-letter": (A_STAR, PARITY),
+        "ab-star": (ab_star_dfa(), teaching_dfao()),
+        "c-then-a-or-b": (C_THEN_A_OR_B, LETTERS_MOD_3),
+        "exponential": (EXP_RUNS, LETTERS_MOD_3),
+    }[case]
     system = NumerationSystem(lang)
+    assert took_levels(lambda: block_stream(system, machine)) == ([] if case == "exponential" else [lang.start])
     step, got = CountingMap(machine.trans), ()
     stream = block_stream(system, machine, step)
     for k in (1_000, n):  # a walk quadratic in the terms fails the first check, in well under a second
         got += tuple(islice(stream, k - len(got)))
-        assert step.lookups <= (numeration.STRIDE + 4) * k
+        assert step.lookups <= 4 * k
     if case == "one-letter":
         assert got == ("0", "1") * (n // 2)
+    elif case == "c-then-a-or-b":  # c, then ca^m and cb^m for m = 1, 2, ...: "x" at the lengths 3k
+        assert got == ("y",) + tuple(chain.from_iterable(("xy"[bool(m % 3)],) * 2 for m in range(2, n // 2 + 2)))[: n - 1]
     else:
         assert got == tuple(islice(leaf_stream(system, machine), n))
 
@@ -347,15 +369,47 @@ def memo_bound(letters):
 
 
 def test_block_memo_memory_stays_within_its_letter_budget(monkeypatch):
-    # over a*b* the memo holds the blocks of the 4 a-counts the machine
-    # tells apart below length 64: far inside the budget
-    system, machine, n = NumerationSystem(ab_star_dfa()), teaching_dfao(), 100_000
+    # over base 2 the memo holds the blocks of the few nodes below 64 words
+    # that recur in every tree: far inside the budget
+    system, machine, n = NumerationSystem(binary_like_dfa()), thue_morse_dfao(), 100_000
     extra = _peak(block_stream(system, machine), n) - _peak(leaf_stream(system, machine), n)
     assert extra < memo_bound(numeration.MEMO_LETTERS)
-    # one letter deep, each tree's two words are a new block: the budget is what bounds the memo
-    system, machine, n, budget = NumerationSystem(C_THEN_A_OR_B), LETTERS_MOD_3, 8_000, 1 << 10
+    # (a+b)*c(a*+b*) under a machine that tells the words of (a+b)*c apart:
+    # each two-word node below them is a new block, so the budget is what
+    # bounds the memo
+    system, machine, n, budget = NumerationSystem(EXP_RUNS), WORDS_MOD_1024, 16_000, 1 << 9
     peaks = {}
     for room in (0, budget, n):
         monkeypatch.setattr(numeration, "MEMO_LETTERS", room)
         peaks[room] = _peak(block_stream(system, machine), n)
     assert peaks[budget] - peaks[0] < memo_bound(budget) < peaks[n] - peaks[0]
+
+
+def level_bound(system, machine, length):
+    """Bytes the level path may hold while it builds the slices of `length` from those of
+    `length` - 1: 8 per output of the words of those lengths over the pairs reached from
+    the start, twice for `length`, whose partial joins of one pair are held too; 400 per
+    pair for the slices' tuples and dict slots; 8 KiB for the generator and its dicts."""
+    lang, trans = system.language, machine.trans
+    pairs, todo = {(lang.start, machine.start)}, [(lang.start, machine.start)]
+    for q, c in todo:
+        for a in lang.alphabet:
+            y = (lang.trans.get((q, a)), trans[c, a])
+            if y[0] is not None and y not in pairs:
+                pairs.add(y)
+                todo.append(y)
+    system.count_words(length)
+    words = sum(system._counts[q][length - 1] + 2 * system._counts[q][length] for q, _c in pairs)
+    return 8 * words + 400 * len(pairs) + 8192
+
+
+@pytest.mark.parametrize("make", [ab_star_dfa, squares_dfa], ids=["ab-star", "squares"])
+def test_level_path_holds_two_length_slices(make):
+    # from the start of a*b* and of a*(b+c)a*, m + 1 and 2m + 1 words of length m;
+    # 200,000 outputs kept would take 1.6 MB
+    lang = make()
+    machine, n = {ab_star_dfa: teaching_dfao, squares_dfa: squares_chi_dfao}[make]().completed(), 200_000
+    system = NumerationSystem(lang)
+    assert took_levels(lambda: block_stream(system, machine)) == [lang.start]
+    length = len(system.rep(n - 1))
+    assert _peak(block_stream(NumerationSystem(lang), machine), n) < level_bound(system, machine, length)

@@ -4,21 +4,26 @@ Random infinite languages (at most 5 states, 3 letters, trimmed by the
 numeration system) and random partial output machines, with fixed
 hypothesis seeds, plus fixed systems whose walks meet one-child chains in
 every way they can: long runs of b's, a root with a single live child, a
-tree that is one chain.  The oracle lists words without the count tables:
+tree that is one chain.  Random languages built of single states and
+single cycles have polynomially many words per length, so their streams
+take the level path; each root's path is checked against its growth class
+by definition.  The oracle lists words without the count tables:
 every word the automaton can read, one length at a time, each length in
 lexicographic order, keeping the accepted ones.  A term is the machine's
 output at the end of the word's run, or ``⊥`` where the run dies.
 """
 
 from itertools import groupby, islice
+from math import inf
 
 import pytest
-from hypothesis import given, seed, strategies as st
+from hypothesis import assume, given, seed, strategies as st
 
 from ans import (
     AutomaticSequence,
     Dfa,
     Dfao,
+    FiniteLanguageError,
     Morphism,
     NumerationSystem,
     OrderedAlphabet,
@@ -38,12 +43,14 @@ from conftest import (
     AB,
     ab_star_dfa,
     binary_like_dfa,
+    brute_growth,
     squares_chi_dfao,
     squares_dfa,
     teaching_dfao,
     thue_morse_dfao,
+    took_levels,
 )
-from test_automaton_core import CORE, least_words, out, sequences
+from test_automaton_core import CORE, alphabets, dfaos, least_words, out, sequences
 
 N = 40
 
@@ -197,6 +204,73 @@ def test_generate_agrees_with_the_coded_fixed_point(case):
         return
     want = tuple(y for x in islice(fixed_point(phi, 0), 3_000) for y in h.images[x])[:N]
     at_block_sizes(Substitution(phi, h, 0).generate, len(want), want)
+
+
+# -- polynomial languages: the level path ----------------------------------------------
+
+
+@st.composite
+def polynomial_sequences(draw):
+    """A sequence over a random infinite language whose components are single states or
+    single cycles, under a random partial machine.  Cycles read any letters and may be
+    longer than one letter; final states on some of a cycle's states only give words at
+    periodic lengths; a component may lead on to states with finitely many words.  Cycle
+    letters are drawn from the greatest down, so that loops on later letters are common."""
+    sigma = draw(alphabets())
+    blocks, trans = [], {}
+    for i in range(draw(st.integers(1, 5))):
+        block = [f"c{i}s{j}" for j in range(draw(st.integers(1, 3)))]
+        if draw(st.integers(0, 3)):  # a cycle through the block, three times in four
+            for j, q in enumerate(block):
+                trans[q, draw(st.sampled_from(sigma.symbols[::-1]))] = block[(j + 1) % len(block)]
+        else:
+            block = block[:1]
+        blocks.append(block)
+    states = [q for block in blocks for q in block]
+    for i, block in enumerate(blocks):
+        later = [q for b in blocks[i + 1 :] for q in b]
+        for q in block:
+            for a in sigma:
+                if later and (q, a) not in trans and draw(st.booleans()):
+                    trans[q, a] = draw(st.sampled_from(later))
+    finals = frozenset(q for q in states if draw(st.booleans()))
+    try:
+        system = NumerationSystem(Dfa(sigma, states, states[0], finals, trans))
+    except FiniteLanguageError:
+        assume(False)
+    return AutomaticSequence(system, draw(dfaos(sigma, ("0", "1", "2"))))
+
+
+def levels_from(system, root) -> list:
+    """[root] if the words read from `root` grow polynomially, by definition, else []."""
+    return [root] if root is not None and 0 <= brute_growth(system.language)[root] < inf else []
+
+
+@seed(53)
+@CORE
+@given(polynomial_sequences())
+def test_polynomial_languages_stream_by_levels_and_agree_with_brute_force(u):
+    lang = u.system.language
+    assert 0 <= brute_growth(lang)[lang.start] < inf
+    check_terms(u, N)
+    check_kernel_subsequences(u)
+    assert took_levels(u.stream) == [lang.start]
+    sub = canonical_substitution(lang, u.machine)
+    assert took_levels(sub.generate, N) == levels_from(sub._system, sub._system.language.start)
+    for k in kernel(u):
+        root = lang.run(k.representative_prefix)
+        assert took_levels(lambda: subsequence(u, k)) == levels_from(u.system, root)
+
+
+@seed(54)
+@CORE
+@given(sequences())
+def test_every_root_takes_the_path_of_its_growth(u):
+    lang = u.system.language
+    assert took_levels(u.stream) == levels_from(u.system, lang.start)
+    for k in kernel(u):
+        root = lang.run(k.representative_prefix)
+        assert took_levels(lambda: subsequence(u, k)) == levels_from(u.system, root)
 
 
 # -- fixed systems with one-child chains ---------------------------------------------
@@ -373,3 +447,20 @@ def test_learner_ranks_and_work_on_fixed_systems(name):
     short = check_learner_ranks(u, learner_bound(u))
     assert short == (name == "finite-continuations")
     check_learner_work(u, learner_bound(u))
+
+
+def test_a_subsequence_with_finitely_many_continuations_ends():
+    # after a*b, one more letter: from there the root reads two words, and the
+    # walk ends after #states + 1 empty lengths, where the level path would not
+    u = AutomaticSequence(NumerationSystem(A_STAR_B_ONE), NO_B_AFTER_ODD_A)
+    lang, mach, growth, lengths = u.system.language, u.machine, brute_growth(A_STAR_B_ONE), set()
+    for k in kernel(u):
+        w = k.representative_prefix
+        root = lang.run(w)
+        if root is None or growth[root] != -1:
+            continue
+        want = tuple(out(mach, mach.run(w + z)) for z in brute_words(lang, root, N))
+        assert took_levels(lambda: subsequence(u, k)) == []
+        assert take(subsequence(u, k), N) == want
+        lengths.add(len(want))
+    assert lengths == {1, 2}
