@@ -9,15 +9,15 @@ Counting tables u_q(m) = number of accepted words of length m readable from
 state q are filled lazily and memoized, one length at a time, and each state
 holds its successors' rows.  rep, val and ``AutomaticSequence.term`` read
 those held rows along one word.  Every shortlex listing of words
-(``enumerate``, ``words_from``) reads, leaf by leaf, one depth-first walk,
-``_walk``, that enters only subtrees with a nonzero count and crosses each
-run of one-child nodes in one step.  Listings of outputs (machine
-sequences, kernel subsequences, ``Substitution.generate``) take their path
-by how the words read from their root grow, which one pass over the
-language's components gives every state when the system is built.  From a
-root with polynomially many words per length, ``_levels`` builds each
-length's outputs from the last length's with the pair morphism of the
-paper's main theorem.  From any other root the walk yields them in blocks: a
+(``enumerate``, ``words_from``) is one depth-first walk, ``_walk``, that
+enters only subtrees with a nonzero count, crosses each run of one-child
+nodes in one step and writes the words into one buffer.  Every listing of
+outputs (machine sequences, kernel subsequences, ``Substitution.generate``)
+is one ``_blocks`` stream, whose path depends on how the words read from
+its root grow, which one pass over the language's components gives every
+state when the system is built.  From a root with polynomially many words
+per length, ``_levels`` builds each length's outputs from the last length's
+with the pair morphism of the paper's main theorem.  From any other root a
 node with at most ``BLOCK`` words yields all their outputs as one tuple,
 memoized by the node and the state carried into it.
 Instances never mutate their public state; concurrent readers either
@@ -34,7 +34,7 @@ from .automata import Dfa, OrderedAlphabet, Word, _growth
 from .errors import FiniteLanguageError, NotInLanguageError
 
 BLOCK = 64  # a node with at most this many words yields their outputs as one tuple
-MEMO_LETTERS = 1 << 16  # outputs a walk keeps in memoized blocks; later blocks are built but not kept
+MEMO_LETTERS = 1 << 16  # outputs and children a stream keeps in its memo; later ones are built but not kept
 
 
 class NumerationSystem:
@@ -143,33 +143,28 @@ class NumerationSystem:
 
     def enumerate(self, start_rank: int = 0) -> Iterator[Word]:
         """Lazily yield accepted words in shortlex order from a given rank."""
-        return self._words(self.language.start, start_rank)
+        return self._walk(self.language.start, start_rank)
 
     def words_from(self, state) -> Iterator[Word]:
         """Shortlex stream of accepted words readable from `state`."""
-        return self._words(state)
+        return self._walk(state)
 
-    def _words(self, root, start_rank=None) -> Iterator[Word]:
-        """The walk's words, from `start_rank` if given (`root` is then the start)."""
-        word = None if start_rank is None else self.rep(start_rank)
-        levels, buf, top = [None, None], [], None  # by stack depth, the last level met; the word
-        for stack, letters, _ in self._walk(root, self.language.trans, root, word):
-            if stack[-1] is not top:  # a new top: write the chains of the newly stacked levels
-                if stack[0] is not levels[1]:  # a new tree: m-letter words under at most m + 1 levels
-                    m = sum(len(level[1]) for level in stack) + len(letters)
-                    buf, levels = [None] * m, [None] * (m + 2)
-                top, i = stack[-1], len(stack)
-                p = e = m - len(letters)  # its leaves' chains start at p; its levels end there
-                while i and levels[i] is not stack[i - 1]:  # the stack changes only at its top
-                    level = levels[i] = stack[i - 1]
-                    buf[e - len(level[1]) : e] = level[1]
-                    e -= len(level[1])
-                    i -= 1
-            buf[p:] = letters
-            yield tuple(buf)
+    def _lengths(self, root, m: int = -1) -> Iterator[int]:
+        """The lengths past m of the words read from `root`, one tree each.
 
-    def _walk(self, root, step: dict, carried, word=None, out=None) -> Iterator:
-        """Depth-first shortlex walk over the words accepted from `root`.
+        Accepted lengths from a live state are at most #states apart, so
+        #states + 1 empty lengths in a row end them.
+        """
+        row, last = self._counts[root], m
+        while m - last <= len(self.language.states):
+            m += 1
+            self._ensure(m)
+            if row[m]:
+                last = m
+                yield m
+
+    def _walk(self, root, start: int = 0) -> Iterator[Word]:
+        """Depth-first shortlex walk over the words read from `root`, from rank `start`.
 
         Nodes are (state, remaining length) pairs, one tree per length; a
         child is live if its count is nonzero, so every descent ends in an
@@ -177,41 +172,14 @@ class NumerationSystem:
         stacked: a branching node's live children are found once per walk
         (or per tree, if no later tree meets the node), each followed
         through its one-child chain to the next branching node or leaf.
-        Each node also carries the state of a second transition map `step`,
-        entered at `carried` and defined on every letter the walk reads;
-        the state at a chain's end is memoized per state at its start.  The
-        bottom level's one child is the root, reached by the empty chain, so
-        each tree is entered by the one descent step.  Accepted lengths from
-        a live state are at most #states apart, so #states + 1 empty lengths
-        in a row end it.
-
-        Leaf mode (`out` None): each leaf yields the stack, whose levels hold
-        the chains that reached them, its own chain and the carried state.
-        The walk starts at `word`, an accepted word, or else at the least
-        word.  Where the words of length m grow at least linearly in m, a
-        leaf costs amortized constant carried steps.
-
-        Block mode (`out` maps carried states at leaves to outputs; no
-        `word`): yields tuples of outputs.  From a root whose words grow
-        polynomially, ``_levels`` yields one length's outputs at a time.
-        From a finite or exponential root, a node with at most ``BLOCK``
-        words yields the tuple of their outputs, and only larger nodes are
-        stacked.  By the paper's main theorem the sequence is the coded
-        fixed point of a morphism on (language state, carried state) pairs,
-        so a block depends only on the node's state, its remaining length
-        and the state carried into it.  Blocks are built from their
-        children's blocks and memoized under those three, up to
-        ``MEMO_LETTERS`` outputs per walk; a tree's root is met once and not
-        kept.  A child is first followed down its one-child run, letter by
-        letter, to a leaf or a branching node, whose count is smaller, so
-        the recursion is at most ``BLOCK`` deep.  A run thus costs its
-        length: from a polynomial root most words would sit at the end of
-        one, which is why those roots take the level path.
+        The bottom level's one child is the root, reached by the empty
+        chain.  Entering a chain writes its letters into the tree's word
+        buffer, and each leaf yields the buffer as a tuple.  A nonzero
+        `start` is a rank (`root` is then the start state): the first tree
+        is entered along rep(start), not along its least word.
         """
-        if out is not None and 0 <= self._growth[root] < inf:
-            yield from self._levels(root, step, carried, out)
-            return
-        counts, succ = self._counts, self._succ
+        word = self.rep(start) if start else None
+        succ = self._succ
 
         # branching (state, remaining length) -> its live children, as chains.
         # Later trees meet a node again only if a cycle precedes its state on
@@ -239,77 +207,105 @@ class NumerationSystem:
                             break
                         letters.append(b)
                         q2, r2, held = q3, r2 - 1, held3
-                    # (letters, end state, end remaining length, carried state at the end by start state)
-                    row.append((tuple(letters), q2, r2, {}))
+                    row.append((tuple(letters), q2, r2))  # (letters, end state, end remaining length)
             return row
 
-        # blocks: (state, remaining length, carried state) of a branching node -> its outputs
-        blocks, room = {}, MEMO_LETTERS
+        for m in self._lengths(root, -1 if word is None else len(word) - 1):
+            near, buf = {}, [None] * m
+            # per stacked node: its children left and its remaining length
+            stack = [(iter((((), root, m),)), m)]  # the root, as a one-child bottom level
+            while stack:
+                it, r0 = stack[-1]
+                for letters, q, r in it:
+                    buf[m - r0 : m - r] = letters
+                    if r:
+                        row = kids.get((q, r)) or branches(q, r)
+                        if word is not None:  # enter the first tree along the word, not its least word
+                            row = row[[k[0][0] for k in row].index(word[m - r]) :]
+                        stack.append((iter(row), r))
+                        break
+                    word = None
+                    yield tuple(buf)
+                else:
+                    stack.pop()
 
-        def block(q, r, c):
-            """The outputs on the words of length r from the live node (q, r), entered at `c`."""
-            nonlocal room
-            while r:  # down the one-child run to a branching node or a leaf
+    def _blocks(self, root, step: dict, carried, out) -> Iterator[tuple]:
+        """The outputs on the words read from `root`, in shortlex order, in tuples.
+
+        A word's output is out[c], c the state that a second transition map
+        `step`, defined on every letter read, reaches on it from `carried`.
+        From a root whose words grow polynomially, ``_levels`` yields one
+        length's outputs at a time.  From a finite or exponential root, the
+        stack holds (state, remaining length, carried state) nodes of more
+        than ``BLOCK`` words, and a smaller node yields the tuple of its
+        words' outputs.  By the paper's main theorem the sequence is the
+        coded fixed point of a morphism on (language state, carried state)
+        pairs, so what a node yields depends on those three only.  Blocks
+        are built from their children's blocks, and both they and a stacked
+        node's children are memoized by the node, up to ``MEMO_LETTERS``
+        outputs and children per stream; a tree's root is met once and not
+        kept.  ``run`` follows a child down its one-child run, letter by
+        letter, to a leaf or a branching node, whose count is smaller, so
+        the recursion is at most ``BLOCK`` deep.  A run thus costs its
+        length: from a polynomial root most words would sit at the end of
+        one, which is why those roots take the level path.
+        """
+        if 0 <= self._growth[root] < inf:
+            yield from self._levels(root, step, carried, out)
+            return
+        counts, succ = self._counts, self._succ
+        # (state, remaining length, carried state) of a branching node -> the
+        # outputs of its words if they are at most BLOCK, else its children
+        memo, room = {}, MEMO_LETTERS
+
+        def run(q, r, c):
+            """The end of the one-child run down from the live node (q, r), entered at `c`."""
+            while r:
                 for a, q2, held in succ[q]:
                     if held[r - 1]:
                         break
                 if held[r - 1] < counts[q][r]:
                     break
                 q, r, c = q2, r - 1, step[(c, a)]
+            return q, r, c
+
+        def block(q, r, c):
+            """The outputs on the words of length r from the live node (q, r), entered at `c`."""
+            nonlocal room
+            q, r, c = run(q, r, c)
             if not r:
                 return (out[c],)
-            got = blocks.get((q, r, c))
+            got = memo.get((q, r, c))
             if got is None:
                 got = ()
                 for a, q2, held in succ[q]:
                     if held[r - 1]:
                         c2 = step[(c, a)]
-                        got += (out[c2],) if r == 1 else (blocks.get((q2, r - 1, c2)) or block(q2, r - 1, c2))
+                        got += (out[c2],) if r == 1 else (memo.get((q2, r - 1, c2)) or block(q2, r - 1, c2))
                 if len(got) <= room and r < m:  # a tree's root is met once
                     room -= len(got)
-                    blocks[q, r, c] = got
+                    memo[q, r, c] = got
             return got
 
-        bound = 0 if out is None else BLOCK  # stacked nodes hold more words than this
-        m = -1 if word is None else len(word) - 1
-        while True:
-            zeros = 0
-            while True:
-                m += 1
-                self._ensure(m)
-                if counts[root][m]:
-                    break
-                zeros += 1
-                if zeros > len(self.language.states):
-                    return
-            near = {}
-            # per stacked node: its children left, the chain that reached it and its carried state
-            stack = [(iter((((), root, m, {}),)), (), carried)]  # the root, as a one-child bottom level
+        for m in self._lengths(root):
+            stack = [iter(((root, m, carried),))]  # the root, as a one-child bottom level
             while stack:
-                it, _, c0 = stack[-1]
-                for letters, q, r, ends in it:
-                    c = ends.get(c0)
-                    if c is None:  # not memoized yet (or None itself, then found again each time)
-                        c = c0
-                        for a in letters:
-                            c = step[(c, a)]
-                        ends[c0] = c
-                    if r and counts[q][r] > bound:
-                        row = kids.get((q, r)) or branches(q, r)
-                        if word is not None:  # enter the first tree along the word, not its least word
-                            row = row[[k[0][0] for k in row].index(word[m - r]) :]
-                        stack.append((iter(row), letters, c))
+                for q, r, c in stack[-1]:
+                    if r and counts[q][r] > BLOCK:
+                        kids = memo.get((q, r, c))
+                        if kids is None:
+                            kids = tuple(run(q2, r - 1, step[(c, a)]) for a, q2, held in succ[q] if held[r - 1])
+                            if len(kids) <= room and r < m:
+                                room -= len(kids)
+                                memo[q, r, c] = kids
+                        stack.append(iter(kids))
                         break
-                    if out is None:
-                        word = None
-                        yield stack, letters, c
-                    else:
-                        yield (blocks.get((q, r, c)) or block(q, r, c)) if r else (out[c],)
+                    yield memo.get((q, r, c)) or block(q, r, c)
                 else:
                     stack.pop()
 
     def _levels(self, root, step, carried, out) -> Iterator[tuple]:
-        """Block mode from a root whose words grow polynomially: one length's outputs at a time.
+        """``_blocks`` from a root whose words grow polynomially: one length's outputs at a time.
 
         The outputs on the words of length r read from a pair x = (language
         state, carried state) are those of x's successors at length r - 1,
@@ -321,7 +317,7 @@ class NumerationSystem:
         those pairs x; while the next length is built, its outputs are held
         too, and the partial join of one pair.  From an exponential root
         most of those outputs are never yielded, and from a finite one the
-        stream would never end: both take the walk.
+        stream would never end: both take the block path.
         """
         succ, finals, start = self._succ, self.language.finals, (root, carried)
         pairs, kids = [start], {start: ()}  # pair -> its successor pairs, in letter order

@@ -40,7 +40,7 @@ SequenceStream = Iterator
 def _outputs(system: NumerationSystem, complete: Dfao, prefix: Word = ()) -> SequenceStream:
     """Outputs of a complete machine on the accepted words `prefix` z, in shortlex order of z.
 
-    No word is built: ``NumerationSystem._walk`` yields the outputs in
+    No word is built: ``NumerationSystem._blocks`` yields the outputs in
     tuples, and the stream flattens them.  If the words read after `prefix`
     grow polynomially, each tuple is one length's outputs, built from the
     last length's by the morphism on (language state, machine state) pairs.
@@ -51,7 +51,7 @@ def _outputs(system: NumerationSystem, complete: Dfao, prefix: Word = ()) -> Seq
     root = system.language.run(prefix)
     if root is None:
         return iter(())
-    return chain.from_iterable(system._walk(root, complete.trans, complete.run(prefix), out=complete.output))
+    return chain.from_iterable(system._blocks(root, complete.trans, complete.run(prefix), complete.output))
 
 
 def sequence(system: NumerationSystem, machine: Dfao) -> SequenceStream:

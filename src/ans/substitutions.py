@@ -140,7 +140,7 @@ class Substitution:
         object.__setattr__(self, "_system", system)
 
     def generate(self) -> Iterator:
-        """Stream h(phi^omega(seed)): h(seed), then the coded letters in the tuples of ``_walk``.
+        """Stream h(phi^omega(seed)): h(seed), then the coded letters in the tuples of ``_blocks``.
 
         The words of length m of the system's language reach the letters
         that phi^m(seed) adds to phi^(m-1)(seed), in order.  Where their
@@ -151,7 +151,7 @@ class Substitution:
         """
         lang = self._system.language
         coded = {x: img[0] for x, img in self.coding.images.items() if img}
-        blocks = self._system._walk(lang.start, lang.trans, lang.start, out=coded)
+        blocks = self._system._blocks(lang.start, lang.trans, lang.start, coded)
         return chain(self.coding.images[self.seed], chain.from_iterable(blocks))
 
 

@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+from functools import cache
 from itertools import chain, islice
 
 import pytest
@@ -145,6 +147,9 @@ def test_enumerate_with_start_rank(ab_system):
 
     words = list(islice(ab_system.enumerate(5), 4))
     assert words == [ab_system.rep(n) for n in range(5, 9)]
+    words = ab_system.enumerate(-1)  # the rank is checked when the stream is first read
+    with pytest.raises(ValueError):
+        next(words)
 
 
 def test_words_from_inner_state(ab_system):
@@ -156,7 +161,7 @@ def test_words_from_inner_state(ab_system):
 
 
 class CountingMap(dict):
-    """A transition map that counts its lookups."""
+    """A map that counts its lookups."""
 
     lookups = 0
 
@@ -167,12 +172,13 @@ class CountingMap(dict):
 
 def test_walk_carries_constant_work_per_word(ab_system):
     # over a*b* a word ends in a run of b's about half its length; the walk
-    # crosses such one-child chains at once, memoizing the carried state
-    lang = ab_system.language
-    step = CountingMap(lang.trans)
-    count = sum(1 for _ in islice(ab_system._walk(lang.start, step, lang.start), 8_000))
+    # crosses such one-child chains at once and keeps each branching node's
+    # chains for the later trees that meet it, so a word costs about one read
+    # of a state's successors
+    ab_system._succ = CountingMap(ab_system._succ)
+    count = sum(1 for _ in islice(ab_system.enumerate(), 8_000))
     assert count == 8_000
-    assert step.lookups <= 4 * count
+    assert ab_system._succ.lookups <= 2 * count
 
 
 def test_walk_keeps_no_chains_that_later_trees_never_meet():
@@ -249,6 +255,13 @@ def test_words_from_handles_finite_continuations():
     )
     system = NumerationSystem(d)
     assert list(system.words_from("t")) == [()]
+    # from t: the empty word, ab and bbb, with empty lengths between them
+    d = Dfa(
+        AB, ("s", "t", "u", "x", "y", "f"), "s", frozenset({"t", "f"}),
+        {("s", "a"): "s", ("s", "b"): "t", ("t", "a"): "u", ("u", "b"): "f",
+         ("t", "b"): "x", ("x", "b"): "y", ("y", "b"): "f"},
+    )
+    assert list(NumerationSystem(d).words_from("t")) == [(), ("a", "b"), ("b", "b", "b")]
 
 
 @settings(max_examples=60)
@@ -267,20 +280,34 @@ def _peak(stream, n):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize(
-    "make, word", [(ab_star_dfa, "a" * 800), (binary_like_dfa, "1" + "0" * 3_000)], ids=["ab-star", "base-2"]
-)
-def test_deep_start_builds_words_in_memory_linear_in_their_length(make, word):
-    # from rep(k) = word the walk stacks a level per letter; a prefix tuple
-    # per level would hold about m²/2 letters beyond what the walk holds
-    # (2.6 MB over a*b*, 36 MB over base 2)
+@pytest.mark.parametrize("make, m", [(ab_star_dfa, 800), (binary_like_dfa, 3_001)], ids=["ab-star", "base-2"])
+def test_deep_start_builds_words_in_memory_linear_in_their_length(make, m):
+    # from the least word of length m (a^m, 10^(m-1)) the walk stacks a
+    # level per letter; a prefix tuple per level would hold about m²/2
+    # letters (2.6 MB over a*b*, 36 MB over base 2).  Over base 2 each row
+    # holds one-letter chains, so twice the length takes twice the memory,
+    # not four times.  Over a*b* the rows alone hold m²/2 letters, the
+    # chains b^r, so the walk at a^m is weighed against itself at b^m, the
+    # tree's last word: one level stacked, the same rows held.
     system = NumerationSystem(make())
-    lang, k = system.language, system.val(tuple(word))
-    walk = system._walk(lang.start, lang.trans, lang.start, system.rep(k))
-    assert _peak(system.enumerate(k), 3) - _peak(walk, 3) < 1_000_000
+    system.count_words(m)
+    deep = system._cum[m]  # the rank of the least word of length m
+    if make is binary_like_dfa:
+        assert _peak(system.enumerate(deep), 3) - 2 * _peak(system.enumerate(system._cum[m // 2]), 3) < 500_000
+        return
+    tracemalloc.start()
+    try:
+        words = system.enumerate(deep)
+        assert next(words) == ("a",) * m
+        at_deep = tracemalloc.get_traced_memory()[0]
+        assert list(islice(words, m))[-1] == ("b",) * m
+        at_last = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert at_deep - at_last < 500_000
 
 
-# -- block mode: outputs streamed in memoized blocks ------------------------------
+# -- output streams: by levels, or in memoized blocks ------------------------------
 
 UNARY = OrderedAlphabet(("a",))
 A_STAR = Dfa(UNARY, ("p",), "p", frozenset({"p"}), {("p", "a"): "p"})
@@ -308,20 +335,33 @@ WORDS_MOD_1024 = Dfao(
 
 
 def block_stream(system, machine, step=None, out=None):
-    """The system's outputs under a complete machine, from the walk's block mode."""
-    lang = system.language
+    """The system's outputs under a complete machine, as ``_blocks`` streams them."""
     step = machine.trans if step is None else step
     out = machine.output if out is None else out
-    return chain.from_iterable(system._walk(lang.start, step, machine.start, out=out))
+    return chain.from_iterable(system._blocks(system.language.start, step, machine.start, out))
 
 
-def leaf_stream(system, machine):
-    lang = system.language
-    return (machine.output[c] for _, _, c in system._walk(lang.start, machine.trans, machine.start))
+def brute_stream(system, machine):
+    """The same outputs, the machine run on each word the walk lists."""
+    return (machine.output[machine.run(w)] for w in system.enumerate())
+
+
+STREAMS = {
+    "one-letter": (A_STAR, PARITY),
+    "ab-star": (ab_star_dfa(), teaching_dfao()),
+    "c-then-a-or-b": (C_THEN_A_OR_B, LETTERS_MOD_3),
+    "exponential": (EXP_RUNS, LETTERS_MOD_3),
+}
+
+
+@cache
+def brute_outputs(case, n):
+    lang, machine = STREAMS[case]
+    return tuple(islice(brute_stream(NumerationSystem(lang), machine), n))
 
 
 @pytest.mark.parametrize("room", [0, numeration.MEMO_LETTERS], ids=["no-memo", "memo"])
-@pytest.mark.parametrize("case", ["one-letter", "ab-star", "c-then-a-or-b", "exponential"])
+@pytest.mark.parametrize("case", STREAMS)
 def test_block_stream_is_linear_past_the_memo_budget(monkeypatch, case, room):
     # a recursion that followed runs letter by letter would go as deep as the
     # word.  Over a* each tree is one new run from the root, over c(a*+b*)
@@ -330,13 +370,7 @@ def test_block_stream_is_linear_past_the_memo_budget(monkeypatch, case, room):
     # Under an exponential root the walk crosses each run letter by letter,
     # and the tree repays it.
     monkeypatch.setattr(numeration, "MEMO_LETTERS", room)
-    n = 100_000
-    lang, machine = {
-        "one-letter": (A_STAR, PARITY),
-        "ab-star": (ab_star_dfa(), teaching_dfao()),
-        "c-then-a-or-b": (C_THEN_A_OR_B, LETTERS_MOD_3),
-        "exponential": (EXP_RUNS, LETTERS_MOD_3),
-    }[case]
+    n, (lang, machine) = 100_000, STREAMS[case]
     system = NumerationSystem(lang)
     assert took_levels(lambda: block_stream(system, machine)) == ([] if case == "exponential" else [lang.start])
     step, got = CountingMap(machine.trans), ()
@@ -349,14 +383,14 @@ def test_block_stream_is_linear_past_the_memo_budget(monkeypatch, case, room):
     elif case == "c-then-a-or-b":  # c, then ca^m and cb^m for m = 1, 2, ...: "x" at the lengths 3k
         assert got == ("y",) + tuple(chain.from_iterable(("xy"[bool(m % 3)],) * 2 for m in range(2, n // 2 + 2)))[: n - 1]
     else:
-        assert got == tuple(islice(leaf_stream(system, machine), n))
+        assert got == brute_outputs(case, n)
 
 
 def test_thue_morse_blocks_are_reused_not_rebuilt():
     system, machine, n = NumerationSystem(binary_like_dfa()), thue_morse_dfao(), 100_000
     step, out = CountingMap(machine.trans), CountingMap(machine.output)
     got = tuple(islice(block_stream(system, machine, step, out), n))
-    assert got == tuple(islice(leaf_stream(system, machine), n))
+    assert got == tuple(islice(brute_stream(system, machine), n))
     # each output and transition is read while a block is first built
     assert step.lookups <= n // 8 and out.lookups <= n // 8
 
@@ -370,19 +404,32 @@ def memo_bound(letters):
 
 def test_block_memo_memory_stays_within_its_letter_budget(monkeypatch):
     # over base 2 the memo holds the blocks of the few nodes below 64 words
-    # that recur in every tree: far inside the budget
+    # that recur in every tree, and the children of the few above: far
+    # inside the budget
     system, machine, n = NumerationSystem(binary_like_dfa()), thue_morse_dfao(), 100_000
-    extra = _peak(block_stream(system, machine), n) - _peak(leaf_stream(system, machine), n)
-    assert extra < memo_bound(numeration.MEMO_LETTERS)
+    peak, bound = _peak(block_stream(system, machine), n), memo_bound(numeration.MEMO_LETTERS)
+    monkeypatch.setattr(numeration, "MEMO_LETTERS", 0)
+    assert peak - _peak(block_stream(system, machine), n) < bound
     # (a+b)*c(a*+b*) under a machine that tells the words of (a+b)*c apart:
-    # each two-word node below them is a new block, so the budget is what
-    # bounds the memo
-    system, machine, n, budget = NumerationSystem(EXP_RUNS), WORDS_MOD_1024, 16_000, 1 << 9
-    peaks = {}
-    for room in (0, budget, n):
+    # each two-word node below them is a new block, and each node above a
+    # new row of children, so the budget is what bounds the memo.  What a
+    # stream keeps, its stack and memo, is weighed once it has streamed its
+    # terms, the tables it filled and the tuples CPython parked on its free
+    # lists let go.
+    system, machine, n, budget = NumerationSystem(EXP_RUNS), WORDS_MOD_1024, 1_000_000, 1 << 9
+    system.count_words(len(system.rep(n)) + 1)
+    kept = {}
+    for room in (budget, n):
         monkeypatch.setattr(numeration, "MEMO_LETTERS", room)
-        peaks[room] = _peak(block_stream(system, machine), n)
-    assert peaks[budget] - peaks[0] < memo_bound(budget) < peaks[n] - peaks[0]
+        tracemalloc.start()
+        try:
+            stream = block_stream(system, machine)
+            assert sum(1 for _ in islice(stream, n)) == n
+            gc.collect()
+            kept[room] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert kept[budget] < memo_bound(budget) < kept[n]
 
 
 def level_bound(system, machine, length):

@@ -64,9 +64,10 @@ def brute_words(lang, root, count):
     return words[:count]
 
 
-# The streams read the walk in blocks of at most numeration.BLOCK words: they are
-# checked at that size, at one word (every leaf its own block) and above every
-# count met here (every tree one block, built from its children's blocks).
+# Off the level path, ``_blocks`` streams nodes of at most numeration.BLOCK words
+# as one block each and stacks larger ones: the streams are checked at that size,
+# at one word (every leaf its own block, every branching node stacked) and above
+# every count met here (every tree one block, built from its children's blocks).
 BLOCK_SIZES = (numeration.BLOCK, 1, 10**9)
 
 
