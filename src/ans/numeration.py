@@ -8,18 +8,22 @@ integers, so arbitrarily large values are exact.
 Counting tables u_q(m) = number of accepted words of length m readable from
 state q are filled lazily and memoized, one length at a time, and each state
 holds its successors' rows.  rep, val and ``AutomaticSequence.term`` read
-those held rows along one word.  Every shortlex listing of words
+those held rows along one word: val letter by letter, rep and term per
+letter on states with exponentially many words per length and per run on the
+others, which come last, where a loop on a state's least letter is crossed
+by one bisection of that state's row (words shorter than ``RUNS_FROM``
+letters go letter by letter throughout).  Every shortlex listing of words
 (``enumerate``, ``words_from``) is one depth-first walk, ``_walk``, that
 enters only subtrees with a nonzero count, crosses each run of one-child
 nodes in one step and writes the words into one buffer.  Every listing of
 outputs (machine sequences, kernel subsequences, ``Substitution.generate``)
-is one ``_blocks`` stream, whose path depends on how the words read from
-its root grow, which one pass over the language's components gives every
-state when the system is built.  From a root with polynomially many words
-per length, ``_levels`` builds each length's outputs from the last length's
-with the pair morphism of the paper's main theorem.  From any other root a
-node with at most ``BLOCK`` words yields all their outputs as one tuple,
-memoized by the node and the state carried into it.
+is one ``_blocks`` stream, whose path depends on how the words read from its
+root grow, which one pass over the language's components gives every state
+when the system is built.  From a root with polynomially many words per
+length, ``_levels`` builds each length's outputs from the last length's with
+the pair morphism of the paper's main theorem.  From any other root a node
+with at most ``BLOCK`` words yields all their outputs as one tuple, memoized
+by the node and the state carried into it.
 Instances never mutate their public state; concurrent readers either
 tolerate the appends the cache performs or synchronize externally.
 """
@@ -35,6 +39,7 @@ from .errors import FiniteLanguageError, NotInLanguageError
 
 BLOCK = 64  # a node with at most this many words yields their outputs as one tuple
 MEMO_LETTERS = 1 << 16  # outputs and children a stream keeps in its memo; later ones are built but not kept
+RUNS_FROM = 16  # shorter words are read letter by letter: over a*b* runs start to pay at about 13 letters
 
 
 class NumerationSystem:
@@ -58,6 +63,9 @@ class NumerationSystem:
             q: tuple((a, q2, self._counts[q2]) for a in lang.alphabet if (q2 := lang.trans.get((q, a))) is not None)
             for q in lang.states
         }
+        # _succ on the states with exponentially many words per length, and () on the others,
+        # where rep's descent stops reading letter by letter
+        self._wide = {q: succ if self._growth[q] == inf else () for q, succ in self._succ.items()}
         self._fill = [(self._counts[q], [r for _a, _q, r in succ]) for q, succ in self._succ.items()]
 
     # -- counting ---------------------------------------------------------
@@ -88,26 +96,63 @@ class NumerationSystem:
 
     def rep(self, n: int) -> Word:
         """The word of rank n: the (n+1)-th word of L in shortlex order."""
-        return tuple(self._letters(n))
+        letters, runs = self._runs(n)
+        for a, k in runs:
+            if k == 1:
+                letters.append(a)
+            else:
+                letters += [a] * k
+        return tuple(letters)
 
-    def _letters(self, n: int) -> list:
-        """The letters of rep(n): each the first successor whose held row counts more than the rank left."""
+    def _runs(self, n: int) -> tuple:
+        """rep(n) as a list of the letters read on states with exponentially many words per
+        length, then a list of runs (letter, k) for the rest, () if there is none.
+
+        Each letter is the first successor whose held row counts more than the rank left.
+        The states after the first one with polynomially or finitely many words per length
+        have as few, and from there a word of at least ``RUNS_FROM`` letters goes by runs:
+        where a state's least letter loops on it, the state's row never decreases with the
+        length, so the rank stays under it down to the length that one bisection of the row
+        finds.  Every other step (a loop taken once, a loop on a later letter, a cycle of
+        more than one letter) is a run of one letter.
+        """
         if n < 0:
             raise ValueError("ranks are nonnegative")
         if self._cum[-1] <= n:  # the tables stop short of rank n
             self._ensure(0, n)
         length = bisect_right(self._cum, n) - 1
         n -= self._cum[length]
-        q, succ, out = self.language.start, self._succ, []
+        q, letters = self.language.start, []
+        wide = self._wide if length >= RUNS_FROM else self._succ
         for rest in range(length - 1, -1, -1):
-            for a, q, row in succ[q]:
+            for a, q, row in wide[q]:
+                if n < row[rest]:
+                    break
+                n -= row[rest]
+            else:  # q is the first state with polynomially or finitely many words per length
+                break
+            letters.append(a)
+        else:
+            return letters, ()
+        succ, runs = self._succ, []
+        while rest >= 0:  # the letters left after the one chosen now
+            step = succ[q]
+            a, q2, row = step[0]
+            if q2 == q and rest and n < row[rest - 1]:  # a loop on q's least letter, taken twice or more
+                i = bisect_right(row, n, 0, rest)  # the rank stays under q's row down to length i
+                runs.append((a, rest + 1 - i))
+                rest = i - 1
+                if rest < 0:
+                    break
+            for a, q, row in step:
                 if n < row[rest]:
                     break
                 n -= row[rest]
             else:  # pragma: no cover - counts guarantee a branch is taken
                 raise AssertionError("count tables out of sync")
-            out.append(a)
-        return out
+            runs.append((a, 1))
+            rest -= 1
+        return letters, runs
 
     def val(self, word) -> int:
         """Rank of an accepted word; raises NotInLanguageError otherwise."""

@@ -72,22 +72,59 @@ class AutomaticSequence:
     machine: Dfao
     output_alphabet: tuple = field(init=False)  # the stream's symbols: the machine's, plus ⊥ if partial
     _complete: Dfao = field(init=False, repr=False, compare=False)  # completed once, for every walk
+    _powers: dict = field(init=False, repr=False, compare=False)  # letter -> {state: its place on the letter's cycle}
 
     def __post_init__(self):
         _require_same_alphabet(self.system, self.machine)
         object.__setattr__(self, "_complete", self.machine.completed())
         object.__setattr__(self, "output_alphabet", self._complete.output_alphabet)
+        object.__setattr__(self, "_powers", {a: {} for a in self.system.alphabet})
 
     def term(self, n: int):
         """The output at rank `n` (the machine run on the n-th word), ``⊥`` where the run dies.
 
-        The completed machine reads the letters that rep's descent lists; no tuple is built
-        and neither ``rep`` nor ``Dfao.transform`` is called.
+        The completed machine reads the letters and runs that rep's descent lists; no tuple
+        is built and neither ``rep`` nor ``Dfao.transform`` is called.  It takes one
+        transition per letter, but crosses a run a^k at least as long as the machine has
+        states at once, through the ρ-shape of a: k letters from any state end on a's cycle.
         """
+        letters, runs = self.system._runs(n)
         trans, c = self._complete.trans, self._complete.start
-        for a in self.system._letters(n):
+        for a in letters:
             c = trans[c, a]
+        for a, k in runs:
+            if k == 1:
+                c = trans[c, a]
+            elif k < len(self._complete.states):
+                for _ in range(k):
+                    c = trans[c, a]
+            else:
+                cycle, j = self._powers[a].get(c) or self._rho(a, c)
+                c = cycle[(k + j) % len(cycle)]
         return self._complete.output[c]
+
+    def _rho(self, a, c) -> tuple:
+        """Where state c sits on the ρ-shape of letter a: (cycle, j) such that a^k leads
+        from c to cycle[(k + j) % len(cycle)] for every k >= #states.
+
+        Found by reading a from c up to a state already placed, or around a new cycle,
+        and kept in ``_powers`` for every state read: at most one entry per state and letter.
+        """
+        trans, shape, path, on = self._complete.trans, self._powers[a], [], {}
+        x = c
+        while x not in shape and x not in on:
+            on[x] = len(path)
+            path.append(x)
+            x = trans[x, a]
+        if x not in shape:  # the path closed a new cycle at x
+            i = on[x]
+            cycle = tuple(path[i:])
+            shape.update((y, (cycle, j)) for j, y in enumerate(cycle))
+            del path[i:]
+        for y in reversed(path):  # the tail into it
+            cycle, j = shape[trans[y, a]]
+            shape[y] = (cycle, j - 1)
+        return shape[c]
 
     def stream(self) -> SequenceStream:
         return _outputs(self.system, self._complete)

@@ -181,6 +181,33 @@ def test_walk_carries_constant_work_per_word(ab_system):
     assert ab_system._succ.lookups <= 2 * count
 
 
+# term over a*b* at rank 10^9 or near it, once a first call has placed the states its
+# runs start from on the machine's cycles: rep(n) = a^i b^j is a run of a's, the b off
+# the loop on a, and a run of b's, and only that b takes a transition
+TERM_TRANSITIONS = 1
+
+
+def test_term_crosses_each_run_at_once():
+    # rank 10^9 over a*b* is a word of 44,720 letters, a^6280 b^38440; crossed one
+    # letter at a time it takes 44,720 transitions and as many reads of a state's successors
+    teaching = teaching_dfao()
+    counted = Dfao(AB, teaching.states, teaching.start, CountingMap(teaching.trans),
+                   teaching.output, teaching.output_alphabet)
+    system = NumerationSystem(ab_star_dfa())
+    u = AutomaticSequence(system, counted)
+    assert len(system.rep(10**9)) == 44_720
+    system._succ = CountingMap(system._succ)
+    for n in (10**9, 10**9 + 12_345, system._cum[44_721] - 1):  # the last is b^44720
+        want = teaching.transform(system.rep(n))
+        u.term(n)
+        counted.trans.lookups = system._succ.lookups = 0
+        assert u.term(n) == want
+        assert counted.trans.lookups == TERM_TRANSITIONS
+        assert system._succ.lookups <= 2  # one read of p's successors and one of q's
+    # each state has at most one place per letter
+    assert sum(map(len, u._powers.values())) <= 2 * len(teaching.states)
+
+
 def test_walk_keeps_no_chains_that_later_trees_never_meet():
     # a* + b*: the root's two children are chains as long as the word; each
     # pair is met in one tree only, so keeping them would take memory
@@ -271,10 +298,13 @@ def test_roundtrip_at_arbitrary_magnitude(n):
     assert system.val(system.rep(n)) == n
 
 
-def _peak(stream, n):
+def _peak(make, n):
+    """Traced peak of taking n items from the stream `make()`, after one untraced run of the
+    same stream, so that the tuples CPython parks on its free lists are not counted."""
+    assert sum(1 for _ in islice(make(), n)) == n
     tracemalloc.start()
     try:
-        assert sum(1 for _ in islice(stream, n)) == n
+        assert sum(1 for _ in islice(make(), n)) == n
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -293,7 +323,7 @@ def test_deep_start_builds_words_in_memory_linear_in_their_length(make, m):
     system.count_words(m)
     deep = system._cum[m]  # the rank of the least word of length m
     if make is binary_like_dfa:
-        assert _peak(system.enumerate(deep), 3) - 2 * _peak(system.enumerate(system._cum[m // 2]), 3) < 500_000
+        assert _peak(lambda: system.enumerate(deep), 3) - 2 * _peak(lambda: system.enumerate(system._cum[m // 2]), 3) < 500_000
         return
     tracemalloc.start()
     try:
@@ -407,9 +437,9 @@ def test_block_memo_memory_stays_within_its_letter_budget(monkeypatch):
     # that recur in every tree, and the children of the few above: far
     # inside the budget
     system, machine, n = NumerationSystem(binary_like_dfa()), thue_morse_dfao(), 100_000
-    peak, bound = _peak(block_stream(system, machine), n), memo_bound(numeration.MEMO_LETTERS)
+    peak, bound = _peak(lambda: block_stream(system, machine), n), memo_bound(numeration.MEMO_LETTERS)
     monkeypatch.setattr(numeration, "MEMO_LETTERS", 0)
-    assert peak - _peak(block_stream(system, machine), n) < bound
+    assert peak - _peak(lambda: block_stream(system, machine), n) < bound
     # (a+b)*c(a*+b*) under a machine that tells the words of (a+b)*c apart:
     # each two-word node below them is a new block, and each node above a
     # new row of children, so the budget is what bounds the memo.  What a
@@ -459,4 +489,4 @@ def test_level_path_holds_two_length_slices(make):
     system = NumerationSystem(lang)
     assert took_levels(lambda: block_stream(system, machine)) == [lang.start]
     length = len(system.rep(n - 1))
-    assert _peak(block_stream(NumerationSystem(lang), machine), n) < level_bound(system, machine, length)
+    assert _peak(lambda: block_stream(NumerationSystem(lang), machine), n) < level_bound(system, machine, length)

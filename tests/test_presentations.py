@@ -263,6 +263,60 @@ def test_polynomial_languages_stream_by_levels_and_agree_with_brute_force(u):
         assert took_levels(lambda: subsequence(u, k)) == levels_from(u.system, root)
 
 
+DEEP = 1_000  # words of at least this many letters: runs far longer than any machine's tail
+
+
+def run_letter_by_letter(u, word):
+    """The completed machine's output after reading `word` one transition at a time."""
+    complete, c = u._complete, u._complete.start
+    for a in word:
+        c = complete.trans[c, a]
+    return complete.output[c]
+
+
+def check_deep_term(u, n):
+    """rep(n) is an accepted word that val reads back as n, and term(n) is the machine's run on it."""
+    got = u.term(n)  # before rep, so that term fills the tables itself
+    w = u.system.rep(n)
+    assert u.system.language.accepts(w) and u.system.val(w) == n
+    assert got == run_letter_by_letter(u, w)
+    return w
+
+
+@seed(55)
+@CORE
+@given(polynomial_sequences(), st.data())
+def test_term_and_rep_cross_long_runs_on_polynomial_languages(u, data):
+    # words of 1,000 letters and more, from lengths at most #states apart: the descent
+    # bisects loops on the least letter, steps through loops on later letters and
+    # cycles of more than one letter, and the machine crosses each run through its
+    # letter's ρ-shape, tail included where the machine is partial
+    system, gap = NumerationSystem(u.system.language), len(u.system.language.states) + 1
+    system.count_words(DEEP + gap)
+    lo, hi = system._cum[DEEP], system._cum[DEEP + gap]
+    assert lo < hi
+    for n in data.draw(st.lists(st.integers(lo, hi - 1), min_size=1, max_size=6)):
+        assert len(check_deep_term(u, n)) >= DEEP
+
+
+# (a+b)*c a*b*: exponential states, then a polynomial tail that the descent crosses by runs
+EXP_THEN_POLY = Dfa(
+    OrderedAlphabet(("a", "b", "c")), ("s", "t", "u"), "s", frozenset({"t", "u"}),
+    {("s", "a"): "s", ("s", "b"): "s", ("s", "c"): "t", ("t", "a"): "t", ("t", "b"): "u", ("u", "b"): "u"},
+)
+
+
+@seed(56)
+@CORE
+@given(st.data())
+def test_term_and_rep_switch_to_runs_after_the_exponential_states(data):
+    u = AutomaticSequence(NumerationSystem(EXP_THEN_POLY), data.draw(dfaos(EXP_THEN_POLY.alphabet)))
+    head = data.draw(st.lists(st.sampled_from("ab"), max_size=12))
+    i, j = data.draw(st.integers(0, 2 * DEEP)), data.draw(st.integers(0, 2 * DEEP))
+    word = (*head, "c", *"a" * i, *"b" * j)
+    assert check_deep_term(u, u.system.val(word)) == word
+
+
 @seed(54)
 @CORE
 @given(sequences())
@@ -322,6 +376,18 @@ def test_term_neither_builds_rep_nor_calls_transform(monkeypatch):
     monkeypatch.setattr(Dfao, "transform", refused)
     for u, want in zip(cases, wants):
         assert [u.term(n) for n in range(200)] == want
+
+
+def test_term_crosses_runs_through_the_tail_and_the_cycle():
+    # over a*, rank n is the run a^n: read letter by letter below numeration.RUNS_FROM
+    # letters, walked while shorter than the machine's forty states, and past that it
+    # lands, beyond the tail of thirty states, on the cycle of ten
+    states = tuple(range(40))
+    machine = Dfao(UNARY, states, 0, {(i, "a"): i + 1 if i < 39 else 30 for i in states},
+                   {i: str(i % 3) for i in states}, ("0", "1", "2"))
+    u = AutomaticSequence(NumerationSystem(A_STAR), machine)
+    assert numeration.RUNS_FROM < len(states)
+    assert [u.term(n) for n in range(100)] == [run_letter_by_letter(u, ("a",) * n) for n in range(100)]
 
 
 @pytest.mark.parametrize("make", [ab_star_dfa, binary_like_dfa])
