@@ -369,8 +369,9 @@ COMMANDS = (
     ("kernel-to-dfao", cmd_kernel_to_dfao, "relearn a machine from the sequence terms",
      [SYSTEM, MACHINE, _arg(
          "--bound", type=_positive, required=True,
-         help="most prefix classes, and continuations compared per prefix; costs about (classes*|alphabet| + 1)*bound"
-         " + bound term calls, one listing per language state and one rank offset per prefix and continuation length",
+         help="most prefix classes, and continuations compared per prefix; costs at most (classes*|alphabet| + 1)*bound"
+         " + bound term calls (one per distinct rank compared, then bound to verify), one listing per language"
+         " state and one rank offset per prefix and continuation length",
      ), OUTPUT]),
     ("gaps", cmd_gaps, "occurrence positions and gaps of an output factor",
      [SYSTEM, MACHINE, _arg("--factor", required=True),

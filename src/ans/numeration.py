@@ -12,7 +12,11 @@ those held rows along one word: val letter by letter, rep and term per
 letter on states with exponentially many words per length and per run on the
 others, which come last, where a loop on a state's least letter is crossed
 by one bisection of that state's row (words shorter than ``RUNS_FROM``
-letters go letter by letter throughout).  Every shortlex listing of words
+letters go letter by letter throughout).  rep and term share the rank check
+and the length bisection (``_place``) and the runs (``_runs``); where rep
+descends states letter by letter, term descends (language state, machine
+state) pairs whose rows hold the same count rows, and takes no machine
+transition there once a pair's row is built.  Every shortlex listing of words
 (``enumerate``, ``words_from``) is one depth-first walk, ``_walk``, that
 enters only subtrees with a nonzero count, crosses each run of one-child
 nodes in one step and writes the words into one buffer.  Every listing of
@@ -95,33 +99,14 @@ class NumerationSystem:
     # -- rank / unrank ----------------------------------------------------
 
     def rep(self, n: int) -> Word:
-        """The word of rank n: the (n+1)-th word of L in shortlex order."""
-        letters, runs = self._runs(n)
-        for a, k in runs:
-            if k == 1:
-                letters.append(a)
-            else:
-                letters += [a] * k
-        return tuple(letters)
-
-    def _runs(self, n: int) -> tuple:
-        """rep(n) as a list of the letters read on states with exponentially many words per
-        length, then a list of runs (letter, k) for the rest, () if there is none.
+        """The word of rank n: the (n+1)-th word of L in shortlex order.
 
         Each letter is the first successor whose held row counts more than the rank left.
-        The states after the first one with polynomially or finitely many words per length
-        have as few, and from there a word of at least ``RUNS_FROM`` letters goes by runs:
-        where a state's least letter loops on it, the state's row never decreases with the
-        length, so the rank stays under it down to the length that one bisection of the row
-        finds.  Every other step (a loop taken once, a loop on a later letter, a cycle of
-        more than one letter) is a run of one letter.
+        On a word of at least ``RUNS_FROM`` letters the descent goes letter by letter only
+        over the states with exponentially many words per length, and ``_runs`` spells the
+        rest.
         """
-        if n < 0:
-            raise ValueError("ranks are nonnegative")
-        if self._cum[-1] <= n:  # the tables stop short of rank n
-            self._ensure(0, n)
-        length = bisect_right(self._cum, n) - 1
-        n -= self._cum[length]
+        length, n = self._place(n)
         q, letters = self.language.start, []
         wide = self._wide if length >= RUNS_FROM else self._succ
         for rest in range(length - 1, -1, -1):
@@ -133,7 +118,37 @@ class NumerationSystem:
                 break
             letters.append(a)
         else:
-            return letters, ()
+            return tuple(letters)
+        for a, k in self._runs(q, rest, n):
+            if k == 1:
+                letters.append(a)
+            else:
+                letters += [a] * k
+        return tuple(letters)
+
+    def _place(self, n: int) -> tuple[int, int]:
+        """The length of rep(n), and n's rank among the words of that length.
+
+        Checks the rank and fills the tables on to the first length that covers it.
+        """
+        if n < 0:
+            raise ValueError("ranks are nonnegative")
+        if self._cum[-1] <= n:  # the tables stop short of rank n
+            self._ensure(0, n)
+        length = bisect_right(self._cum, n) - 1
+        return length, n - self._cum[length]
+
+    def _runs(self, q, rest: int, n: int) -> list:
+        """The last rest + 1 letters of a word, as runs (letter, k): those of rank n among the
+        words of that length read from q, a state with polynomially or finitely many words
+        per length.
+
+        The states after q have as few, and where a state's least letter loops on it, the
+        state's row never decreases with the length, so the rank stays under it down to
+        the length that one bisection of the row finds.  Every other step (a loop taken
+        once, a loop on a later letter, a cycle of more than one letter) is a run of one
+        letter.
+        """
         succ, runs = self._succ, []
         while rest >= 0:  # the letters left after the one chosen now
             step = succ[q]
@@ -152,7 +167,7 @@ class NumerationSystem:
                 raise AssertionError("count tables out of sync")
             runs.append((a, 1))
             rest -= 1
-        return letters, runs
+        return runs
 
     def val(self, word) -> int:
         """Rank of an accepted word; raises NotInLanguageError otherwise."""

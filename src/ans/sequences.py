@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
+from math import inf
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .automata import (
@@ -32,9 +33,13 @@ from .automata import (
     minimize,
 )
 from .errors import AnsError, KernelBoundError, PartitionError
-from .numeration import NumerationSystem
+from .numeration import RUNS_FROM, NumerationSystem
 
 SequenceStream = Iterator
+# a pair's row in ``AutomaticSequence._wide`` where its language state has polynomially or
+# finitely many words per length: true, so that term takes it as built, and empty (an
+# exhausted iterator), so that term's letter-by-letter descent stops at that pair
+_STOP = iter(())
 
 
 def _outputs(system: NumerationSystem, complete: Dfao, prefix: Word = ()) -> SequenceStream:
@@ -73,26 +78,54 @@ class AutomaticSequence:
     output_alphabet: tuple = field(init=False)  # the stream's symbols: the machine's, plus ⊥ if partial
     _complete: Dfao = field(init=False, repr=False, compare=False)  # completed once, for every walk
     _powers: dict = field(init=False, repr=False, compare=False)  # letter -> {state: its place on the letter's cycle}
+    # (language state, completed-machine state) pairs that term has named: pair -> its number,
+    # and by number the pair, its row, and its row on the exponential states (``_STOP`` elsewhere);
+    # a row is None until term first visits its pair
+    _number: dict = field(init=False, repr=False, compare=False)
+    _pairs: list = field(init=False, repr=False, compare=False)
+    _rows: list = field(init=False, repr=False, compare=False)
+    _wide: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_same_alphabet(self.system, self.machine)
         object.__setattr__(self, "_complete", self.machine.completed())
         object.__setattr__(self, "output_alphabet", self._complete.output_alphabet)
         object.__setattr__(self, "_powers", {a: {} for a in self.system.alphabet})
+        start = (self.system.language.start, self._complete.start)
+        object.__setattr__(self, "_number", {start: 0})
+        object.__setattr__(self, "_pairs", [start])
+        object.__setattr__(self, "_rows", [None])
+        object.__setattr__(self, "_wide", [None])
 
     def term(self, n: int):
         """The output at rank `n` (the machine run on the n-th word), ``⊥`` where the run dies.
 
-        The completed machine reads the letters and runs that rep's descent lists; no tuple
-        is built and neither ``rep`` nor ``Dfao.transform`` is called.  It takes one
-        transition per letter, but crosses a run a^k at least as long as the machine has
-        states at once, through the ρ-shape of a: k letters from any state end on a's cycle.
+        No word is built and neither ``rep`` nor ``Dfao.transform`` is called.  Where rep's
+        descent reads letter by letter, term descends numbered (language state, completed-
+        machine state) pairs instead: a pair's row holds, per letter, the successor pair's
+        number and the language's own count row, so a letter costs one list index and one
+        count comparison per letter tried, and the machine state rides in the pair number.
+        A row is built the first time term visits its pair, one transition per letter.
+        Where the descent leaves the states with exponentially many words per length, the
+        machine reads the runs of ``NumerationSystem._runs`` from the pair's machine state:
+        one transition per letter, but a run a^k at least as long as the machine has states
+        at once, through the ρ-shape of a: k letters from any state end on a's cycle.
         """
-        letters, runs = self.system._runs(n)
-        trans, c = self._complete.trans, self._complete.start
-        for a in letters:
-            c = trans[c, a]
-        for a, k in runs:
+        length, n = self.system._place(n)
+        rows = self._wide if length >= RUNS_FROM else self._rows
+        p = 0  # the start pair
+        for rest in range(length - 1, -1, -1):
+            for _a, p, held in rows[p] or self._row(p, rows):
+                if n < held[rest]:
+                    break
+                n -= held[rest]
+            else:  # p's language state is the first with polynomially or finitely many words per length
+                break
+        else:
+            return self._complete.output[self._pairs[p][1]]
+        q, c = self._pairs[p]
+        trans = self._complete.trans
+        for a, k in self.system._runs(q, rest, n):
             if k == 1:
                 c = trans[c, a]
             elif k < len(self._complete.states):
@@ -102,6 +135,31 @@ class AutomaticSequence:
                 cycle, j = self._powers[a].get(c) or self._rho(a, c)
                 c = cycle[(k + j) % len(cycle)]
         return self._complete.output[c]
+
+    def _row(self, p: int, rows: list) -> Iterable:
+        """Pair p's row in `rows` (``_rows`` or ``_wide``), built on term's first visit.
+
+        Per letter that the language reads from p's state, in alphabet order: (letter, the
+        successor pair's number, the successor state's count row).  The rows are the
+        system's own, so no second table is filled, and a successor is numbered when first
+        named.  In ``_wide`` a pair whose state has polynomially or finitely many words per
+        length has the row ``_STOP``, where term's letter-by-letter descent stops.
+        """
+        q, c = self._pairs[p]
+        if rows is self._wide and self.system._growth[q] != inf:
+            rows[p] = _STOP
+            return _STOP
+        number, pairs, trans, row = self._number, self._pairs, self._complete.trans, []
+        for a, q2, held in self.system._succ[q]:
+            x = (q2, trans[c, a])
+            if x not in number:
+                number[x] = len(pairs)
+                pairs.append(x)
+                self._rows.append(None)
+                self._wide.append(None)
+            row.append((a, number[x], held))
+        rows[p] = row = tuple(row)
+        return row
 
     def _rho(self, a, c) -> tuple:
         """Where state c sits on the ρ-shape of letter a: (cycle, j) such that a^k leads
@@ -240,10 +298,17 @@ def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, 
     machine that fails to reproduce the first `bound` terms (asked of `term`
     again: a guard against answers that change between calls), raises
     KernelBoundError: the sequence is not recognized within this bound.
+    Signatures share ranks (the word w s z continues both w and w s), and
+    each rank is asked of `term` once for them.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    lang, conts = system.language, {}
+    lang, conts, terms = system.language, {}, {}  # terms: rank -> term, for the signatures
+
+    def at(n: int):
+        if n not in terms:
+            terms[n] = term(n)
+        return terms[n]
 
     def signature(w: Word) -> tuple:
         q = lang.run(w)
@@ -254,7 +319,7 @@ def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, 
         sig = []
         for n, zs in conts[q]:  # w z ranks z's index in its run past the least word w z' with |z'| = n
             first = system._least_rank(w, n)[0]
-            sig += [(z, term(first + j)) for j, z in enumerate(zs)]
+            sig += [(z, at(first + j)) for j, z in enumerate(zs)]
         return tuple(sig)
 
     index = {signature(()): 0}  # class by signature, in order of discovery

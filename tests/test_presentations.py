@@ -13,6 +13,7 @@ lexicographic order, keeping the accepted ones.  A term is the machine's
 output at the end of the word's run, or ``⊥`` where the run dies.
 """
 
+import random
 from itertools import groupby, islice
 from math import inf
 
@@ -38,6 +39,7 @@ from ans import (
     subsequence,
     take,
 )
+from ans.automata import _reachable_product
 
 from conftest import (
     AB,
@@ -390,6 +392,36 @@ def test_term_crosses_runs_through_the_tail_and_the_cycle():
     assert [u.term(n) for n in range(100)] == [run_letter_by_letter(u, ("a",) * n) for n in range(100)]
 
 
+def counter_dfao(n: int, partial: bool) -> Dfao:
+    """n states over 0 < 1: 0 counts up mod n and 1 resets to 0; if partial, state 3 reads no
+    0, so four 0s in a row after a 1 lead to the completion's sink, which outputs ⊥."""
+    states = tuple(range(n))
+    trans = {(i, "1"): 0 for i in states} | {(i, "0"): (i + 1) % n for i in states if not (partial and i == 3)}
+    return Dfao(OrderedAlphabet(("0", "1")), states, 0, trans, {i: str(i % 2) for i in states}, ("0", "1"))
+
+
+@pytest.mark.parametrize("partial", [False, True])
+def test_term_builds_pair_rows_on_first_visit(partial):
+    # base 2 under a 2,000-state counter: term names (language state, machine state)
+    # pairs as it meets them and builds a pair's row only when it descends through it
+    def built(u):
+        return sum(r is not None or w is not None for r, w in zip(u._rows, u._wide))
+
+    system = NumerationSystem(binary_like_dfa())
+    u = AutomaticSequence(system, counter_dfao(2_000, partial))
+    assert built(u) == 0 and len(u._pairs) == 1
+    word = system.rep(2**100)  # 1 and a hundred 0s
+    assert u.term(2**100) == run_letter_by_letter(u, word)
+    assert built(u) <= len(word) + 1 == 102
+    rng = random.Random(7)
+    ranks = list(range(300)) + [rng.randrange(2**100) for _ in range(700)]
+    assert [u.term(n) for n in ranks] == [run_letter_by_letter(u, system.rep(n)) for n in ranks]
+    assert ("⊥" in map(u.term, ranks)) == partial
+    reachable = _reachable_product((system.language, u._complete))[0]
+    assert built(u) <= len(u._pairs) <= len(reachable)
+    assert len(set(u._pairs)) == len(u._pairs) and set(u._pairs) <= set(reachable)
+
+
 @pytest.mark.parametrize("make", [ab_star_dfa, binary_like_dfa])
 def test_deep_enumerate_and_words_from_agree_with_brute_force(make):
     # ranks 1,000 to 2,000 stack dozens of levels over a*b*; from a*b*'s
@@ -475,7 +507,7 @@ def check_learner_ranks(u, bound) -> bool:
 
 def check_learner_work(u, bound):
     """No val call, one words_from listing per language state, and one term call per
-    signature entry plus `bound` for the verification pass."""
+    distinct signature rank plus `bound` for the verification pass."""
     system, lang, words_from, listed, ranks = u.system, u.system.language, NumerationSystem.words_from, [], []
 
     def refused(self, word):
@@ -490,8 +522,9 @@ def check_learner_work(u, bound):
         mp.setattr(NumerationSystem, "words_from", counted)
         learned = dfao_from_kernel(lambda n: ranks.append(n) or u.term(n), system, bound)
     assert len(listed) == len(set(listed)) <= len(lang.states)
-    entries = sum(len(brute_words(lang, lang.run(w), bound)) for w in live_explored(learned, lang))
-    assert len(ranks) == entries + bound
+    asked = {system.val(w + z) for w in live_explored(learned, lang) for z in brute_words(lang, lang.run(w), bound)}
+    assert len(ranks) == len(asked) + bound
+    assert set(ranks[:-bound]) == asked
 
 
 @seed(47)

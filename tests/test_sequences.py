@@ -282,11 +282,12 @@ def test_learner_bound_too_small(teaching):
 
 
 def test_learner_verification_catches_a_term_that_changes_between_calls(ab_system):
-    # the signatures make 16 calls, all "0": one class; rank 0 then reads "1"
+    # the signatures ask 10 distinct ranks (16 entries), all "0": one class; rank 0,
+    # asked again by the verification pass, then reads "1"
     calls = count()
     with pytest.raises(KernelBoundError, match="disagrees with the term function at rank 0"):
-        dfao_from_kernel(lambda n: "0" if next(calls) < 16 else "1", ab_system, 4)
-    assert next(calls) == 17
+        dfao_from_kernel(lambda n: "0" if next(calls) < 10 else "1", ab_system, 4)
+    assert next(calls) == 11
 
 
 def test_learner_constant_sequence(ab_system):
