@@ -8,26 +8,29 @@ integers, so arbitrarily large values are exact.
 Counting tables u_q(m) = number of accepted words of length m readable from
 state q are filled lazily and memoized, one length at a time, and each state
 holds its successors' rows.  rep, val and ``AutomaticSequence.term`` read
-those held rows along one word: val letter by letter, rep and term per
-letter on states with exponentially many words per length and per run on the
-others, which come last, where a loop on a state's least letter is crossed
-by one bisection of that state's row (words shorter than ``RUNS_FROM``
-letters go letter by letter throughout).  rep and term share the rank check
-and the length bisection (``_place``) and the runs (``_runs``); where rep
-descends states letter by letter, term descends (language state, machine
-state) pairs whose rows hold the same count rows, and takes no machine
-transition there once a pair's row is built.  Every shortlex listing of words
-(``enumerate``, ``words_from``) is one depth-first walk, ``_walk``, that
-enters only subtrees with a nonzero count, crosses each run of one-child
-nodes in one step and writes the words into one buffer.  Every listing of
-outputs (machine sequences, kernel subsequences, ``Substitution.generate``)
-is one ``_blocks`` stream, whose path depends on how the words read from its
-root grow, which one pass over the language's components gives every state
-when the system is built.  From a root with polynomially many words per
-length, ``_levels`` builds each length's outputs from the last length's with
-the pair morphism of the paper's main theorem.  From any other root a node
-with at most ``BLOCK`` words yields all their outputs as one tuple, memoized
-by the node and the state carried into it.
+those held rows along one word: val letter by letter, rep and term letter by
+letter down to the first state where a run can start (polynomially or
+finitely many words per length, and a loop on its least letter) and per run
+from there, where such a loop is crossed by one bisection of that state's
+row.  This module alone decides where the descent stops: ``_place`` picks
+which of the two per-state ``_tables`` it reads, and on words of at least
+``RUNS_FROM`` letters that is the one that stops it where a run can start.
+rep and term share ``_place`` (with the rank check and the length bisection)
+and ``_runs``; where rep descends states letter by letter, term descends
+(language state, machine state) pairs whose rows mirror the picked table's
+and hold the same count rows, and takes no machine transition there once a
+pair's row is built.  Every shortlex listing of words (``enumerate``,
+``words_from``) is one depth-first walk, ``_walk``, that enters only
+subtrees with a nonzero count, crosses each run of one-child nodes in one
+step and writes the words into one buffer.  Every listing of outputs
+(machine sequences, kernel subsequences, ``Substitution.generate``) is one
+``_blocks`` stream, whose path depends on how the words read from its root
+grow, which one pass over the language's components gives every state when
+the system is built.  From a root with polynomially many words per length,
+``_levels`` builds each length's outputs from the last length's with the
+pair morphism of the paper's main theorem.  From any other root a node with
+at most ``BLOCK`` words yields all their outputs as one tuple, memoized by
+the node and the state carried into it.
 Instances never mutate their public state; concurrent readers either
 tolerate the appends the cache performs or synchronize externally.
 """
@@ -67,9 +70,12 @@ class NumerationSystem:
             q: tuple((a, q2, self._counts[q2]) for a in lang.alphabet if (q2 := lang.trans.get((q, a))) is not None)
             for q in lang.states
         }
-        # _succ on the states with exponentially many words per length, and () on the others,
-        # where rep's descent stops reading letter by letter
-        self._wide = {q: succ if self._growth[q] == inf else () for q, succ in self._succ.items()}
+        # the two per-state tables that the letter-by-letter descent reads, as _place picks: _succ,
+        # and _succ but () where a run can start (polynomially or finitely many words per length,
+        # and a loop on the least letter), where the descent stops and _runs spells the rest
+        wide = {q: () if succ and succ[0][1] == q and self._growth[q] < inf else succ
+                for q, succ in self._succ.items()}
+        self._tables = (self._succ, wide)
         self._fill = [(self._counts[q], [r for _a, _q, r in succ]) for q, succ in self._succ.items()]
 
     # -- counting ---------------------------------------------------------
@@ -101,20 +107,19 @@ class NumerationSystem:
     def rep(self, n: int) -> Word:
         """The word of rank n: the (n+1)-th word of L in shortlex order.
 
-        Each letter is the first successor whose held row counts more than the rank left.
-        On a word of at least ``RUNS_FROM`` letters the descent goes letter by letter only
-        over the states with exponentially many words per length, and ``_runs`` spells the
-        rest.
+        Each letter is the first successor whose held row counts more than the rank left, in
+        the table that ``_place`` picks.  On a word of at least ``RUNS_FROM`` letters that
+        table stops the descent at the first state where a run can start, and ``_runs``
+        spells the rest.
         """
-        length, n = self._place(n)
-        q, letters = self.language.start, []
-        wide = self._wide if length >= RUNS_FROM else self._succ
+        length, n, tab = self._place(n)
+        q, letters, succ = self.language.start, [], self._tables[tab]
         for rest in range(length - 1, -1, -1):
-            for a, q, row in wide[q]:
+            for a, q, row in succ[q]:
                 if n < row[rest]:
                     break
                 n -= row[rest]
-            else:  # q is the first state with polynomially or finitely many words per length
+            else:  # q is the first state where a run can start
                 break
             letters.append(a)
         else:
@@ -126,8 +131,10 @@ class NumerationSystem:
                 letters += [a] * k
         return tuple(letters)
 
-    def _place(self, n: int) -> tuple[int, int]:
-        """The length of rep(n), and n's rank among the words of that length.
+    def _place(self, n: int) -> tuple[int, int, bool]:
+        """The length of rep(n), n's rank among the words of that length, and which of
+        ``_tables`` the descent to rep(n) reads: the one that stops where a run can start
+        from ``RUNS_FROM`` letters on.
 
         Checks the rank and fills the tables on to the first length that covers it.
         """
@@ -136,18 +143,17 @@ class NumerationSystem:
         if self._cum[-1] <= n:  # the tables stop short of rank n
             self._ensure(0, n)
         length = bisect_right(self._cum, n) - 1
-        return length, n - self._cum[length]
+        return length, n - self._cum[length], length >= RUNS_FROM
 
     def _runs(self, q, rest: int, n: int) -> list:
         """The last rest + 1 letters of a word, as runs (letter, k): those of rank n among the
-        words of that length read from q, a state with polynomially or finitely many words
-        per length.
+        words of that length read from q, a state where a run can start or any state after one.
 
-        The states after q have as few, and where a state's least letter loops on it, the
-        state's row never decreases with the length, so the rank stays under it down to
-        the length that one bisection of the row finds.  Every other step (a loop taken
-        once, a loop on a later letter, a cycle of more than one letter) is a run of one
-        letter.
+        q and the states after it have polynomially or finitely many words per length, and where
+        a state's least letter loops on it, the state's row never decreases with the length, so
+        the rank stays under it down to the length that one bisection of the row finds.
+        Every other step (a loop taken once, a loop on a later letter, a cycle of more than
+        one letter) is a run of one letter.
         """
         succ, runs = self._succ, []
         while rest >= 0:  # the letters left after the one chosen now

@@ -16,8 +16,8 @@ ways between three presentations of such a sequence:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, groupby, islice
-from math import inf
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .automata import (
@@ -33,12 +33,12 @@ from .automata import (
     minimize,
 )
 from .errors import AnsError, KernelBoundError, PartitionError
-from .numeration import RUNS_FROM, NumerationSystem
+from .numeration import NumerationSystem
 
 SequenceStream = Iterator
-# a pair's row in ``AutomaticSequence._wide`` where its language state has polynomially or
-# finitely many words per length: true, so that term takes it as built, and empty (an
-# exhausted iterator), so that term's letter-by-letter descent stops at that pair
+# a pair's row where its language state's row in ``NumerationSystem._tables`` is empty, as it is
+# where a run can start: true, so that term takes it as built, and empty (an exhausted
+# iterator), so that term's letter-by-letter descent stops at that pair
 _STOP = iter(())
 
 
@@ -79,12 +79,11 @@ class AutomaticSequence:
     _complete: Dfao = field(init=False, repr=False, compare=False)  # completed once, for every walk
     _powers: dict = field(init=False, repr=False, compare=False)  # letter -> {state: its place on the letter's cycle}
     # (language state, completed-machine state) pairs that term has named: pair -> its number,
-    # and by number the pair, its row, and its row on the exponential states (``_STOP`` elsewhere);
-    # a row is None until term first visits its pair
+    # and by number the pair and, for each of ``NumerationSystem._tables``, its row in that
+    # table's mirror; a row is None until term first visits its pair there
     _number: dict = field(init=False, repr=False, compare=False)
     _pairs: list = field(init=False, repr=False, compare=False)
-    _rows: list = field(init=False, repr=False, compare=False)
-    _wide: list = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_same_alphabet(self.system, self.machine)
@@ -94,32 +93,32 @@ class AutomaticSequence:
         start = (self.system.language.start, self._complete.start)
         object.__setattr__(self, "_number", {start: 0})
         object.__setattr__(self, "_pairs", [start])
-        object.__setattr__(self, "_rows", [None])
-        object.__setattr__(self, "_wide", [None])
+        object.__setattr__(self, "_rows", ([None], [None]))
 
     def term(self, n: int):
         """The output at rank `n` (the machine run on the n-th word), ``⊥`` where the run dies.
 
         No word is built and neither ``rep`` nor ``Dfao.transform`` is called.  Where rep's
         descent reads letter by letter, term descends numbered (language state, completed-
-        machine state) pairs instead: a pair's row holds, per letter, the successor pair's
-        number and the language's own count row, so a letter costs one list index and one
-        count comparison per letter tried, and the machine state rides in the pair number.
-        A row is built the first time term visits its pair, one transition per letter.
-        Where the descent leaves the states with exponentially many words per length, the
-        machine reads the runs of ``NumerationSystem._runs`` from the pair's machine state:
-        one transition per letter, but a run a^k at least as long as the machine has states
-        at once, through the ρ-shape of a: k letters from any state end on a's cycle.
+        machine state) pairs instead, in the mirror of the table that ``_place`` picks for
+        rep: a pair's row holds, per letter, the successor pair's number and the language's
+        own count row, so a letter costs one list index and one count comparison per letter
+        tried, and the machine state rides in the pair number.  A row is built the first
+        time term visits its pair, one transition per letter.  Where the descent stops, as
+        rep's does, at the first state where a run can start, the machine reads the runs of
+        ``NumerationSystem._runs`` from the pair's machine state: one transition per letter,
+        but a run a^k at least as long as the machine has states at once, through the
+        ρ-shape of a: k letters from any state end on a's cycle.
         """
-        length, n = self.system._place(n)
-        rows = self._wide if length >= RUNS_FROM else self._rows
+        length, n, tab = self.system._place(n)
+        rows = self._rows[tab]
         p = 0  # the start pair
         for rest in range(length - 1, -1, -1):
-            for _a, p, held in rows[p] or self._row(p, rows):
+            for p, held in rows[p] or self._row(p, tab):
                 if n < held[rest]:
                     break
                 n -= held[rest]
-            else:  # p's language state is the first with polynomially or finitely many words per length
+            else:  # p's language state is the first where a run can start
                 break
         else:
             return self._complete.output[self._pairs[p][1]]
@@ -136,29 +135,27 @@ class AutomaticSequence:
                 c = cycle[(k + j) % len(cycle)]
         return self._complete.output[c]
 
-    def _row(self, p: int, rows: list) -> Iterable:
-        """Pair p's row in `rows` (``_rows`` or ``_wide``), built on term's first visit.
+    def _row(self, p: int, tab: int) -> Iterable:
+        """Pair p's row in ``_rows[tab]``, built on term's first visit from its language
+        state's row in ``NumerationSystem._tables[tab]``.
 
-        Per letter that the language reads from p's state, in alphabet order: (letter, the
-        successor pair's number, the successor state's count row).  The rows are the
-        system's own, so no second table is filled, and a successor is numbered when first
-        named.  In ``_wide`` a pair whose state has polynomially or finitely many words per
-        length has the row ``_STOP``, where term's letter-by-letter descent stops.
+        Per letter in that row, in alphabet order: (the successor pair's number, the
+        successor state's count row).  The rows are the system's own, so no second table is
+        filled, and a successor is numbered when first named.  Where that row is empty, as
+        where a run can start on long words, the pair's row is ``_STOP``, where term's
+        letter-by-letter descent stops.
         """
         q, c = self._pairs[p]
-        if rows is self._wide and self.system._growth[q] != inf:
-            rows[p] = _STOP
-            return _STOP
         number, pairs, trans, row = self._number, self._pairs, self._complete.trans, []
-        for a, q2, held in self.system._succ[q]:
+        for a, q2, held in self.system._tables[tab][q]:
             x = (q2, trans[c, a])
             if x not in number:
                 number[x] = len(pairs)
                 pairs.append(x)
-                self._rows.append(None)
-                self._wide.append(None)
-            row.append((a, number[x], held))
-        rows[p] = row = tuple(row)
+                for rows in self._rows:
+                    rows.append(None)
+            row.append((number[x], held))
+        self._rows[tab][p] = row = tuple(row) or _STOP
         return row
 
     def _rho(self, a, c) -> tuple:
@@ -303,12 +300,7 @@ def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, 
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    lang, conts, terms = system.language, {}, {}  # terms: rank -> term, for the signatures
-
-    def at(n: int):
-        if n not in terms:
-            terms[n] = term(n)
-        return terms[n]
+    lang, conts, at = system.language, {}, cache(term)  # at: term, asked once per rank by the signatures
 
     def signature(w: Word) -> tuple:
         q = lang.run(w)

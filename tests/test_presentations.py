@@ -15,7 +15,7 @@ output at the end of the word's run, or ``⊥`` where the run dies.
 
 import random
 from itertools import groupby, islice
-from math import inf
+from math import inf, isqrt
 
 import pytest
 from hypothesis import assume, given, seed, strategies as st
@@ -53,6 +53,7 @@ from conftest import (
     took_levels,
 )
 from test_automaton_core import CORE, alphabets, dfaos, least_words, out, sequences
+from test_numeration import EXP_RUNS, LETTERS_MOD_3
 
 N = 40
 
@@ -405,7 +406,7 @@ def test_term_builds_pair_rows_on_first_visit(partial):
     # base 2 under a 2,000-state counter: term names (language state, machine state)
     # pairs as it meets them and builds a pair's row only when it descends through it
     def built(u):
-        return sum(r is not None or w is not None for r, w in zip(u._rows, u._wide))
+        return sum(any(row is not None for row in rows) for rows in zip(*u._rows))
 
     system = NumerationSystem(binary_like_dfa())
     u = AutomaticSequence(system, counter_dfao(2_000, partial))
@@ -418,8 +419,103 @@ def test_term_builds_pair_rows_on_first_visit(partial):
     assert [u.term(n) for n in ranks] == [run_letter_by_letter(u, system.rep(n)) for n in ranks]
     assert ("⊥" in map(u.term, ranks)) == partial
     reachable = _reachable_product((system.language, u._complete))[0]
+    assert all(len(rows) == len(u._pairs) for rows in u._rows)
     assert built(u) <= len(u._pairs) <= len(reachable)
     assert len(set(u._pairs)) == len(u._pairs) and set(u._pairs) <= set(reachable)
+
+
+class Unread:
+    """A mapping that fails the test when it is read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("term reads the growth classes")
+
+
+def test_term_leaves_the_stopping_rule_to_the_numeration_system():
+    # the numeration system's tables say where the descent stops, so term never asks
+    # for a state's growth class: words of 0-23 and ~4,500 letters over a*b*, 101 over base 2
+    for lang, machine, ranks in [
+        (ab_star_dfa(), teaching_dfao(), [*range(300), 10**7]),
+        (binary_like_dfa(), thue_morse_dfao(), [2**100]),
+    ]:
+        system = NumerationSystem(lang)
+        u = AutomaticSequence(system, machine)
+        want = [run_letter_by_letter(u, system.rep(n)) for n in ranks]
+        system._growth = Unread()
+        assert [u.term(n) for n in ranks] == want
+
+
+ABC = OrderedAlphabet(("a", "b", "c"))
+# b*a*: the start state loops on its later letter b, so only the a's after it are a run
+B_STAR_A_STAR = Dfa(AB, ("s", "t"), "s", frozenset({"s", "t"}), {("s", "b"): "s", ("s", "a"): "t", ("t", "a"): "t"})
+# (ab)*c*: the start state lies on the two-letter cycle ab, so only the c's after it are a run
+AB_STAR_C_STAR = Dfa(
+    ABC, ("s", "m", "t"), "s", frozenset({"s", "t"}),
+    {("s", "a"): "m", ("m", "b"): "s", ("s", "c"): "t", ("t", "c"): "t"},
+)
+
+
+def teaching_with_c() -> Dfao:
+    """The teaching machine over a < b < c, c a self-loop on every state."""
+    t = teaching_dfao()
+    trans = {**t.trans, **{(q, "c"): q for q in t.states}}
+    return Dfao(ABC, t.states, t.start, trans, t.output, t.output_alphabet)
+
+
+def b_star_a_star_word(n):
+    """Rank m(m + 1)/2 + i, 0 <= i <= m, is b^i a^(m - i)."""
+    m = (isqrt(8 * n + 1) - 1) // 2
+    i = n - m * (m + 1) // 2
+    return ("b",) * i + ("a",) * (m - i)
+
+
+def ab_star_c_star_word(n):
+    """t(t + 1) words are shorter than 2t and (t + 1)^2 shorter than 2t + 1; each length L
+    lists (ab)^k c^(L - 2k) from k = L // 2 down to 0."""
+    def shorter(length):
+        t = length // 2
+        return t * (t + 1) if length % 2 == 0 else (t + 1) ** 2
+
+    length = 2 * isqrt(n)
+    while shorter(length) > n:
+        length -= 1
+    while shorter(length + 1) <= n:
+        length += 1
+    k = length // 2 - (n - shorter(length))
+    return ("a", "b") * k + ("c",) * (length - 2 * k)
+
+
+@pytest.mark.parametrize("lang, machine, closed", [
+    (B_STAR_A_STAR, teaching_dfao(), b_star_a_star_word),
+    (AB_STAR_C_STAR, teaching_with_c(), ab_star_c_star_word),
+], ids=["b-star-a-star", "ab-star-c-star"])
+def test_rep_and_term_read_later_letter_loops_and_cycles_letter_by_letter(lang, machine, closed):
+    # on long words the descent stops only at the state whose least letter loops on it,
+    # and reads the loop on b, or the cycle ab, one letter at a time: words of about
+    # 1,400-4,500 and 44,700-63,200 letters
+    system = NumerationSystem(lang)
+    assert [q for q, row in system._tables[1].items() if not row] == ["t"]
+    u = AutomaticSequence(system, machine)
+    rng = random.Random(13)
+    for n in [*(rng.randrange(10**6, 10**7) for _ in range(20)), 10**9]:
+        assert check_deep_term(u, n) == closed(n)
+
+
+@pytest.mark.parametrize("runs_from", [0, 10**9])
+@pytest.mark.parametrize("lang, machine", [
+    (ab_star_dfa(), teaching_dfao()),
+    (binary_like_dfa(), thue_morse_dfao()),
+    (EXP_RUNS, LETTERS_MOD_3),
+    (B_STAR_A_STAR, teaching_dfao()),
+], ids=["ab-star", "base-2", "exp-runs", "b-star-a-star"])
+def test_rep_and_term_agree_with_brute_force_on_either_table(monkeypatch, runs_from, lang, machine):
+    # RUNS_FROM 0 stops every descent where a run can start, 10^9 none: each table
+    # is read at every word length up to rank 2,000
+    monkeypatch.setattr(numeration, "RUNS_FROM", runs_from)
+    u = AutomaticSequence(NumerationSystem(lang), machine)
+    words = brute_words(u.system.language, u.system.language.start, 2_001)
+    assert [u.system.rep(n) for n in range(2_001)] == words
+    assert [u.term(n) for n in range(2_001)] == [out(machine, machine.run(w)) for w in words]
 
 
 @pytest.mark.parametrize("make", [ab_star_dfa, binary_like_dfa])
