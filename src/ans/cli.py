@@ -48,6 +48,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise AnsError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise AnsError(f"cannot read {path}: byte {e.object[e.start]:#04x} at offset {e.start} is not UTF-8") from e
 
 
 def _load_dfa(path: str) -> Dfa:
@@ -249,7 +251,7 @@ def cmd_from_morphism(args):
         symbols = args.symbols.split() if any(c.isspace() for c in args.symbols) else list(args.symbols)
         for s in symbols:  # symbols the file parser would refuse to read back
             if not ff._declarable(s):
-                raise AnsError(f"--symbols: {s!r} is reserved or holds the comment mark '#'")
+                raise AnsError(f"--symbols: {s!r} is reserved, holds the comment mark '#' or is not UTF-8 text")
     try:
         system, machine = system_from_morphism(phi, axiom, symbols)
     except ValueError as e:  # a wrong count or a repeated symbol

@@ -272,8 +272,10 @@ def parse_substitution(text: str, path: str = "<substitution>") -> Substitution:
 
 
 def _readable(x: str) -> bool:
-    """Whether the parser reads `x` back as one token: nonempty, no whitespace or '#', no leading '@'."""
-    return x.split() == [x] and "#" not in x and not x.startswith("@")
+    """Whether the parser reads `x` back as one token: nonempty, no whitespace or '#', no leading '@',
+    and no lone surrogate, which is how a command-line byte that is not UTF-8 reads and UTF-8 cannot write."""
+    surrogate = not x.isascii() and any("\ud800" <= c <= "\udfff" for c in x)
+    return x.split() == [x] and "#" not in x and not x.startswith("@") and not surrogate
 
 
 def _require_readable(readable, symbols, what: str):

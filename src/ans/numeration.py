@@ -20,17 +20,17 @@ and ``_runs``; where rep descends states letter by letter, term descends
 (language state, machine state) pairs whose rows mirror the picked table's
 and hold the same count rows, and takes no machine transition there once a
 pair's row is built.  Every shortlex listing of words (``enumerate``,
-``words_from``) is one depth-first walk, ``_walk``, that enters only
-subtrees with a nonzero count, crosses each run of one-child nodes in one
-step and writes the words into one buffer.  Every listing of outputs
-(machine sequences, kernel subsequences, ``Substitution.generate``) is one
-``_blocks`` stream, whose path depends on how the words read from its root
-grow, which one pass over the language's components gives every state when
-the system is built.  From a root with polynomially many words per length,
-``_levels`` builds each length's outputs from the last length's with the
-pair morphism of the paper's main theorem.  From any other root a node with
-at most ``BLOCK`` words yields all their outputs as one tuple, memoized by
-the node and the state carried into it.
+``words_from``) is one depth-first walk, ``_walk``, with one row memo: it
+crosses each run of one-child nodes in one step, writes the words into one
+buffer, and from a nonzero rank stacks the nodes on rep's path, building their
+rows on the way back.  Every listing of outputs (machine sequences, kernel
+subsequences, ``Substitution.generate``) is one ``_blocks`` stream, whose path
+depends on how the words read from its root grow, which one pass over the
+language's components gives every state when the system is built.  From a root
+with polynomially many words per length, ``_levels`` builds each length's
+outputs from the last length's with the pair morphism of the paper's main
+theorem.  From any other root a node with at most ``BLOCK`` words yields their
+outputs as one tuple, memoized by the node and the state carried into it.
 Instances never mutate their public state; concurrent readers either
 tolerate the appends the cache performs or synchronize externally.
 """
@@ -125,10 +125,7 @@ class NumerationSystem:
         else:
             return tuple(letters)
         for a, k in self._runs(q, rest, n):
-            if k == 1:
-                letters.append(a)
-            else:
-                letters += [a] * k
+            letters += [a] * k
         return tuple(letters)
 
     def _place(self, n: int) -> tuple[int, int, bool]:
@@ -232,68 +229,71 @@ class NumerationSystem:
     def _walk(self, root, start: int = 0) -> Iterator[Word]:
         """Depth-first shortlex walk over the words read from `root`, from rank `start`.
 
-        Nodes are (state, remaining length) pairs, one tree per length; a
-        child is live if its count is nonzero, so every descent ends in an
-        accepted word.  Below the root, a node with one live child is never
-        stacked: a branching node's live children are found once per walk
-        (or per tree, if no later tree meets the node), each followed
-        through its one-child chain to the next branching node or leaf.
-        The bottom level's one child is the root, reached by the empty
-        chain.  Entering a chain writes its letters into the tree's word
-        buffer, and each leaf yields the buffer as a tuple.  A nonzero
-        `start` is a rank (`root` is then the start state): the first tree
-        is entered along rep(start), not along its least word.
+        Nodes are (state, remaining length) pairs, one tree per length; only
+        live children, those with a nonzero count, are entered.  A stacked
+        level holds a branching node's children left, each followed through
+        its one-child chain, whose letters it writes into the tree's word
+        buffer; a leaf yields the buffer.  The bottom level's children are
+        the trees' roots.  From a nonzero rank `start` (`root` is then the
+        start state) the walk yields rep(start), then stacks a level for each
+        node on its path with a live child after the word's letter, which
+        builds the node's row only when the walk comes back to it.
         """
-        word = self.rep(start) if start else None
-        succ = self._succ
+        succ, kids, again = self._succ, {}, set()
 
-        # branching (state, remaining length) -> its live children, as chains.
-        # Later trees meet a node again only if a cycle precedes its state on
-        # the path from the root, as it does once the state is #states deep.
-        # Other rows are kept for their own tree, unless the tree is shorter
-        # than #states: such rows stay few and short.
-        kids, again = {}, set()
-
+        # branching (state, remaining length) -> its live children, as chains.  Later trees meet a
+        # node again only if a cycle precedes its state on the path from the root, as it does once
+        # the state is #states deep: a tree of #states letters or more starts with their rows only.
         def branches(q, r):
             if m - r >= len(succ):
                 again.add(q)
-            memo = kids if m < len(succ) or q in again else near
-            row = memo.get((q, r))
-            if row is None:
-                row = memo[q, r] = []
-                for a, q2, held in succ[q]:
-                    letters, r2 = [a], r - 1
-                    if not held[r2]:
-                        continue
-                    while r2:  # follow the chain while one live child holds all the node's words
-                        for b, q3, held3 in succ[q2]:
-                            if held3[r2 - 1]:
-                                break
-                        if held3[r2 - 1] < held[r2]:
+            row = kids[q, r] = []
+            for a, q2, held in [k for k in succ[q] if k[2][r - 1]]:
+                letters, r2 = [a], r - 1
+                while r2:  # follow the chain while one live child holds all the node's words
+                    for b, q3, held3 in succ[q2]:
+                        if held3[r2 - 1]:
                             break
-                        letters.append(b)
-                        q2, r2, held = q3, r2 - 1, held3
-                    row.append((tuple(letters), q2, r2))  # (letters, end state, end remaining length)
+                    if held3[r2 - 1] < held[r2]:
+                        break
+                    letters.append(b)
+                    q2, r2, held = q3, r2 - 1, held3
+                row.append((tuple(letters), q2, r2))  # (letters, end state, end remaining length)
             return row
 
-        for m in self._lengths(root, -1 if word is None else len(word) - 1):
-            near, buf = {}, [None] * m
-            # per stacked node: its children left and its remaining length
-            stack = [(iter((((), root, m),)), m)]  # the root, as a one-child bottom level
-            while stack:
-                it, r0 = stack[-1]
-                for letters, q, r in it:
-                    buf[m - r0 : m - r] = letters
-                    if r:
-                        row = kids.get((q, r)) or branches(q, r)
-                        if word is not None:  # enter the first tree along the word, not its least word
-                            row = row[[k[0][0] for k in row].index(word[m - r]) :]
-                        stack.append((iter(row), r))
-                        break
-                    word = None
-                    yield tuple(buf)
-                else:
-                    stack.pop()
+        def trees(last):  # the trees longer than `last`, each root yielded as its tree starts
+            nonlocal m, buf, kids
+            for m in self._lengths(root, last):
+                if m >= len(succ):
+                    kids = {key: row for key, row in kids.items() if key[0] in again}
+                buf = [None] * m
+                yield (), root, m
+
+        def after(q, r, a):  # the live children of the node (q, r) after its child on `a`
+            row = kids.get((q, r)) or branches(q, r)
+            yield from row[[k[0][0] for k in row].index(a) + 1 :]
+
+        stack = [(trees(-1), 0)]  # per stacked level: its children left and its remaining length
+        if start:
+            word = self.rep(start)
+            yield word
+            m, buf, q, stack = len(word), list(word), root, [(trees(len(word)), 0)]
+            for r, a in zip(range(m, 0, -1), word):
+                step = succ[q]
+                j = [k[0] for k in step].index(a)
+                if any(k[2][r - 1] for k in step[j + 1 :]):
+                    stack.append((after(q, r, a), r))
+                q = step[j][1]
+        while stack:
+            it, r0 = stack[-1]
+            for letters, q, r in it:
+                buf[m - r0 : m - r] = letters
+                if r:
+                    stack.append((iter(kids.get((q, r)) or branches(q, r)), r))
+                    break
+                yield tuple(buf)
+            else:
+                stack.pop()
 
     def _blocks(self, root, step: dict, carried, out) -> Iterator[tuple]:
         """The outputs on the words read from `root`, in shortlex order, in tuples.

@@ -347,10 +347,11 @@ def test_from_morphism_flow(files, capsys, tmp_path):
     assert run_ok(capsys, ["equiv", str(lang_out), str(expect)]).strip() == "equivalent"
 
 
-@pytest.mark.parametrize("symbols", ["a", "abc", "a a", "@x y", "⊥ y", "# y", "a#b y", "@eps y", "", " "])
+@pytest.mark.parametrize("symbols", ["a", "abc", "a a", "@x y", "⊥ y", "# y", "a#b y", "@eps y", "", " ", "\udcff\udcfe"])
 def test_from_morphism_refuses_symbols_it_could_not_read_back(files, capsys, symbols):
     # the witness morphism's widest image has 2 letters: a wrong count (an empty
-    # list too, not the default), a repeat, a reserved name or a comment mark
+    # list too, not the default), a repeat, a reserved name, a comment mark or
+    # bytes that are not UTF-8 (as Python decodes them from a command line)
     # exits 2 before any file is written
     lang_out, mach_out = files["dir"] / "w.dfa", files["dir"] / "w.dfao"
     argv = ["from-morphism", files["morphism"], "-o", str(lang_out), "--machine-out", str(mach_out)]

@@ -91,8 +91,11 @@ ODD = "\u00a0\u2003\u2028\x1c\x1d\x1e\x1f\x85 \t#@"
 @example("a@")
 @example("a\u00a0")
 @example("\x1c")
+@example("a\udcff")
 def test_readable_is_the_per_character_definition(x):
-    per_character = x != "" and not any(c.isspace() or c == "#" for c in x) and not x.startswith("@")
+    # a lone surrogate is how Python decodes a command-line byte that is not UTF-8
+    per_character = x != "" and not any(c.isspace() or c == "#" or "\ud800" <= c <= "\udfff" for c in x)
+    per_character = per_character and not x.startswith("@")
     assert fileformat._readable(x) == per_character
 
 

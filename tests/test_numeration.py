@@ -179,6 +179,17 @@ def test_walk_carries_constant_work_per_word(ab_system):
     count = sum(1 for _ in islice(ab_system.enumerate(), 8_000))
     assert count == 8_000
     assert ab_system._succ.lookups <= 2 * count
+    # from a deep start the walk reads each node on the start word's path once and builds a
+    # node's row only when it comes back to it, so five words cost about the word's length,
+    # not a row per node with every chain in it (8.0·10^6 and 6.0·10^6 reads at m = 4,000)
+    m = 4_000
+    for word in [("a",) * m, ("a",) * (m // 2) + ("b",) * (m // 2)]:
+        system = NumerationSystem(ab_star_dfa())
+        n = system.val(word)
+        system._succ = CountingMap(system._succ)
+        words = list(islice(system.enumerate(n), 5))
+        assert system._succ.lookups <= 4 * m
+        assert words == [system.rep(k) for k in range(n, n + 5)]
 
 
 # term over a*b* at rank 10^9 or near it, once a first call has placed the states its
@@ -310,31 +321,20 @@ def _peak(make, n):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("make, m", [(ab_star_dfa, 800), (binary_like_dfa, 3_001)], ids=["ab-star", "base-2"])
+@pytest.mark.parametrize("make, m", [(ab_star_dfa, 4_000), (binary_like_dfa, 3_001)], ids=["ab-star", "base-2"])
 def test_deep_start_builds_words_in_memory_linear_in_their_length(make, m):
-    # from the least word of length m (a^m, 10^(m-1)) the walk stacks a
-    # level per letter; a prefix tuple per level would hold about m²/2
-    # letters (2.6 MB over a*b*, 36 MB over base 2).  Over base 2 each row
-    # holds one-letter chains, so twice the length takes twice the memory,
-    # not four times.  Over a*b* the rows alone hold m²/2 letters, the
-    # chains b^r, so the walk at a^m is weighed against itself at b^m, the
-    # tree's last word: one level stacked, the same rows held.
+    # from the least word of length m (a^m, 10^(m-1)) the walk stacks a level per node on the
+    # word's path with a live child after the word's letter; a prefix tuple per level would
+    # hold about m²/2 letters (36 MB over base 2), and so would the rows of a*b*'s path nodes,
+    # whose chains b^r are as long as the node is high (64 MB at a^4000), were they built
+    # before the walk comes back to them.  So twice the length takes twice the memory, not
+    # four times, and five words from a^4000 stay within 4 MB.
     system = NumerationSystem(make())
     system.count_words(m)
     deep = system._cum[m]  # the rank of the least word of length m
-    if make is binary_like_dfa:
-        assert _peak(lambda: system.enumerate(deep), 3) - 2 * _peak(lambda: system.enumerate(system._cum[m // 2]), 3) < 500_000
-        return
-    tracemalloc.start()
-    try:
-        words = system.enumerate(deep)
-        assert next(words) == ("a",) * m
-        at_deep = tracemalloc.get_traced_memory()[0]
-        assert list(islice(words, m))[-1] == ("b",) * m
-        at_last = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert at_deep - at_last < 500_000
+    peak = _peak(lambda: system.enumerate(deep), 5)
+    assert peak - 2 * _peak(lambda: system.enumerate(system._cum[m // 2]), 5) < 500_000
+    assert peak < 4_000_000
 
 
 # -- output streams: by levels, or in memoized blocks ------------------------------

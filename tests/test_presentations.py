@@ -96,6 +96,13 @@ def check_enumerate(system, k, count):
     for n, w in enumerate(words):
         assert system.rep(n) == w
         assert system.val(system.rep(n)) == n
+    # deeper, against rep: from the first and the last word of a tree and from inside it,
+    # so that the walk leaves the tree it entered along rep(n) for the next ones
+    for m in (len(system.rep(k)) + 1, k // 2 + 8, 24):
+        system.count_words(m + 1)
+        first, last = system._cum[m], system._cum[m + 1] - 1
+        for n in (first, first + (last - first) * (k + 1) // (count + 1), last):
+            assert take(system.enumerate(n), 5) == tuple(map(system.rep, range(n, n + 5)))
 
 
 def check_words_from(system, count):
