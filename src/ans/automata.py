@@ -460,61 +460,51 @@ def _growth(a: Dfa) -> dict:
     if exponentially many.  By Szilard, Yu, Zhang & Shallit (MFCS 1992) the
     growth is polynomial iff every strongly connected component reached is
     trivial or a single cycle, which it is iff it has no more inner edges
-    than states; d + 1 is then the most cycles on one path.  One iterative
-    Tarjan pass closes the components sinks first, so each one's class
-    follows from its inner edges and the classes it reaches.
+    than states; d + 1 is then the most cycles on one path.  Two searches
+    (Kosaraju's) find the components sinks first: a post-order search of the
+    reversed graph, then forward searches over the states not yet classed in
+    reverse post-order, each of which meets exactly one component and, out
+    of it, classed states only.  So each component's class follows from its
+    inner edges and the classes it reaches.
     """
     if not a.finals:  # trimming keeps the start alone, dead
         return dict.fromkeys(a.states, -1)
     num = {q: i for i, q in enumerate(a.states)}
     nxt: list = [[] for _ in a.states]
+    prv: list = [[] for _ in a.states]
     for (q, _a), q2 in a.trans.items():
         nxt[num[q]].append(num[q2])
+        prv[num[q2]].append(num[q])
     n = len(nxt)
-    # by state number: order of discovery (-1 before it), least discovery reached, class (None on the stack)
-    index, low, growth, stack, seen = [-1] * n, [0] * n, [None] * n, [], 0
-    for top in range(n):
-        if index[top] >= 0:
+    # the first search pushes a state again as ~q, which comes off once its predecessors have
+    order, seen, stack = [], [False] * n, list(range(n))
+    while stack:
+        q = stack.pop()
+        if q < 0:
+            order.append(~q)
+        elif not seen[q]:
+            seen[q] = True
+            stack.append(~q)
+            stack += prv[q]
+    # by state number: class, None until its component is found; the second searches clear `seen`
+    growth: list = [None] * n
+    for top in reversed(order):
+        if not seen[top]:
             continue
-        index[top] = low[top] = seen
-        seen += 1
-        stack.append(top)
-        path = [(top, iter(nxt[top]))]
-        while path:
-            q, kids = path[-1]
-            for q2 in kids:
-                if index[q2] < 0:
-                    index[q2] = low[q2] = seen
-                    seen += 1
-                    stack.append(q2)
-                    path.append((q2, iter(nxt[q2])))
-                    break
-                if growth[q2] is None and index[q2] < low[q]:
-                    low[q] = index[q2]
-            else:
-                path.pop()
-                k = low[q]
-                if k < index[q]:  # q's component closes further down the path
-                    p = path[-1][0]
-                    if k < low[p]:
-                        low[p] = k
-                    continue
-                i = len(stack) - 1
-                while stack[i] != q:
-                    i -= 1
-                comp = stack[i:]
-                del stack[i:]
-                inner, deg = 0, -1
-                for p in comp:
-                    for q2 in nxt[p]:
-                        g = growth[q2]
-                        if g is None:
-                            inner += 1
-                        elif g > deg:
-                            deg = g
-                g = inf if inner > len(comp) else deg + (inner > 0)
-                for p in comp:
-                    growth[p] = g
+        seen[top], comp, inner, deg = False, [top], 0, -1
+        for p in comp:  # grows by the states of top's component that the search meets
+            for q2 in nxt[p]:
+                g = growth[q2]
+                if g is None:  # an inner edge
+                    inner += 1
+                    if seen[q2]:
+                        seen[q2] = False
+                        comp.append(q2)
+                elif g > deg:
+                    deg = g
+        g = inf if inner > len(comp) else deg + (inner > 0)
+        for p in comp:
+            growth[p] = g
     return dict(zip(a.states, growth))
 
 

@@ -3,7 +3,7 @@
 A system pairs a trimmed automaton for the language L with its ordered
 alphabet; the n-th word of L in shortlex order (length first, then letter
 order) represents the integer n, starting at n = 0.  Ranks are plain Python
-integers, so arbitrarily large values are exact.
+integers, exact at any size, on words of at most ``MAX_LENGTH`` letters.
 
 Counting tables u_q(m) = number of accepted words of length m readable from
 state q are filled lazily and memoized, one length at a time, and each state
@@ -38,13 +38,15 @@ tolerate the appends the cache performs or synchronize externally.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import islice
 from math import inf
 from typing import Iterator
 
 from .automata import Dfa, OrderedAlphabet, Word, _growth
-from .errors import FiniteLanguageError, NotInLanguageError
+from .errors import AnsError, FiniteLanguageError, NotInLanguageError
 
 BLOCK = 64  # a node with at most this many words yields their outputs as one tuple
+MAX_LENGTH = 1 << 16  # the longest word that rep, term, val and enumerate's start read; streams are not bounded
 MEMO_LETTERS = 1 << 16  # outputs and children a stream keeps in its memo; later ones are built but not kept
 RUNS_FROM = 16  # shorter words are read letter by letter: over a*b* runs start to pay at about 13 letters
 
@@ -81,7 +83,7 @@ class NumerationSystem:
     # -- counting ---------------------------------------------------------
 
     def _ensure(self, length: int, rank: int = -1):
-        """Fill the tables through `length`, and on to the first length that covers `rank`.
+        """Fill the tables through `length`, and on to the first length that covers `rank`, up to ``MAX_LENGTH``.
 
         A length m covers `rank` when more than `rank` words are no longer than m.  A
         length costs one list sum per state, over the rows of its successors that
@@ -89,7 +91,7 @@ class NumerationSystem:
         """
         cum, start = self._cum, self._counts[self.language.start]
         m = len(cum) - 2  # the longest length that every row holds
-        while m < length or cum[-1] <= rank:
+        while m < length or (cum[-1] <= rank and m < MAX_LENGTH):
             for row, rows in self._fill:
                 row.append(sum([r[m] for r in rows]))
             m += 1
@@ -133,13 +135,15 @@ class NumerationSystem:
         ``_tables`` the descent to rep(n) reads: the one that stops where a run can start
         from ``RUNS_FROM`` letters on.
 
-        Checks the rank and fills the tables on to the first length that covers it.
+        Checks the rank and fills the tables on to the first length that covers it, up to ``MAX_LENGTH``.
         """
         if n < 0:
             raise ValueError("ranks are nonnegative")
         if self._cum[-1] <= n:  # the tables stop short of rank n
             self._ensure(0, n)
         length = bisect_right(self._cum, n) - 1
+        if length > MAX_LENGTH:
+            raise self._too_long(f"the word of rank {n}")
         return length, n - self._cum[length], length >= RUNS_FROM
 
     def _runs(self, q, rest: int, n: int) -> list:
@@ -185,6 +189,8 @@ class NumerationSystem:
         Such words are one run in shortlex order: `word` z ranks z's index among them past it.
         """
         length = len(word) + extra
+        if length > MAX_LENGTH:
+            raise self._too_long(f"a word of {length} letters")
         self._ensure(length)
         rank, q, succ = self._cum[length], self.language.start, self._succ
         for i, a in enumerate(word):
@@ -201,6 +207,10 @@ class NumerationSystem:
                 )
             q = q2
         return rank, q
+
+    def _too_long(self, word: str) -> AnsError:
+        per = "exponentially many" if (g := self._growth[self.language.start]) == inf else f"O(m^{g})"
+        return AnsError(f"{word} exceeds the {MAX_LENGTH}-letter limit (the language has {per} words of length m)")
 
     # -- enumeration ------------------------------------------------------
 
@@ -239,11 +249,11 @@ class NumerationSystem:
         node on its path with a live child after the word's letter, which
         builds the node's row only when the walk comes back to it.
         """
-        succ, kids, again = self._succ, {}, set()
+        succ, kids, again, kept = self._succ, {}, set(), 0
 
-        # branching (state, remaining length) -> its live children, as chains.  Later trees meet a
-        # node again only if a cycle precedes its state on the path from the root, as it does once
-        # the state is #states deep: a tree of #states letters or more starts with their rows only.
+        # branching (state, remaining length) -> its live children, as chains.  Later trees meet a node
+        # again only if a cycle precedes its state on the path from the root, as it does once the state is
+        # #states deep: a tree of #states letters or more keeps only their rows, checking those built since the last.
         def branches(q, r):
             if m - r >= len(succ):
                 again.add(q)
@@ -262,10 +272,12 @@ class NumerationSystem:
             return row
 
         def trees(last):  # the trees longer than `last`, each root yielded as its tree starts
-            nonlocal m, buf, kids
+            nonlocal m, buf, kept
             for m in self._lengths(root, last):
                 if m >= len(succ):
-                    kids = {key: row for key, row in kids.items() if key[0] in again}
+                    for key in [key for key in islice(kids, kept, None) if key[0] not in again]:
+                        del kids[key]
+                    kept = len(kids)
                 buf = [None] * m
                 yield (), root, m
 

@@ -186,16 +186,23 @@ def test_growth_classes_of_sparse_random_machines():
     assert {-1, 0, 1, 2, 3, inf} <= seen
 
 
-@pytest.mark.parametrize("shape", ["cycle", "chain"])
+@pytest.mark.parametrize("shape", ["cycle", "chain", "loops", "sink"])
 def test_growth_classes_of_100_000_states_need_no_recursion(shape):
+    # "loops": state i loops on a and goes on to i + 1 on b, so n - i loops lie on one path from
+    # it and its degree is n - 1 - i, which it misses if it is classed before the states it
+    # reaches; "sink": the chain runs into one state with loops on both letters
     n = 100_000
-    trans = {(i, "a"): i + 1 for i in range(n - 1)}
+    trans = {(i, "b" if shape == "loops" else "a"): i + 1 for i in range(n - 1)}
     if shape == "cycle":
         trans[n - 1, "a"] = 0
-    a = Dfa(OrderedAlphabet(("a",)), range(n), 0, frozenset({n - 1}), trans)
-    want = 0 if shape == "cycle" else -1
-    assert set(_growth(a).values()) == {want}
-    assert is_infinite(a) == (shape == "cycle")
+    elif shape == "loops":
+        trans.update({(i, "a"): i for i in range(n)})
+    elif shape == "sink":
+        trans[n - 1, "a"] = trans[n - 1, "b"] = n - 1
+    a = Dfa(AB if shape in ("loops", "sink") else OrderedAlphabet(("a",)), range(n), 0, frozenset({n - 1}), trans)
+    want = {"cycle": [0] * n, "chain": [-1] * n, "loops": range(n - 1, -1, -1), "sink": [inf] * n}[shape]
+    assert _growth(a) == dict(zip(range(n), want))
+    assert is_infinite(a) == (shape != "chain")
 
 
 def test_equivalence_and_witnesses():

@@ -69,6 +69,18 @@ def test_domain_errors_exit_2(files, capsys):
     assert "bad.dfa:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rep", "100000000000000"], ["val", "a" * 70_000], ["enum", "--start", "100000000000000", "--count", "3"]],
+    ids=["rep", "val", "enum-start"],
+)
+def test_a_word_past_the_length_limit_exits_2(files, capsys, argv):
+    # over a*b* rank 10^14 is a word of about 1.4·10^7 letters, past the limit of 2^16
+    assert cli.main([argv[0], "-s", files["lang"], *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "exceeds the 65536-letter limit" in err
+
+
 def test_unwritable_output_exits_2(files, capsys):
     nowhere = files["dir"] / "no" / "such" / "dir"
     assert cli.main(["minimize", files["lang"], "-o", str(nowhere / "min.dfa")]) == 2

@@ -4,9 +4,10 @@ The inputs are the files of ``golden_cli.json``.  Each call runs ``ans.cli.main`
 in-process on one file-reading subcommand after one mutation: a line of one of
 its files deleted or duplicated, two lines or two tokens swapped, a token replaced (by a
 name, ``⊥``, ``#``, a number or nothing), a byte flipped (invalid UTF-8
-included), or a numeric argument made negative, fractional or not a number.
-Every call must exit 0 or 2, with no traceback and no exception class name on
-stderr.  Ranks and counts stay at 1,000 or below, so that no call runs long.
+included), or a numeric argument made negative, fractional or not a number, or a
+rank (``rep``'s or ``enum --start``) made 10^40, which the length limit on rank
+fills answers or refuses at once.  Every call must exit 0 or 2, with no traceback
+and no exception class name on stderr.
 Each machine that ``fiber`` accepts after a mutation is also rebuilt from its
 fibers by ``fibers-to-dfao``, and the rebuilt machine must stream its terms.
 """
@@ -91,6 +92,7 @@ def flip_byte(rng, data):
 
 FILE_OPERATORS = (delete_line, duplicate_line, swap, replace_token, flip_byte)
 BAD_NUMBERS = ("-1", "1.5", "x", "", "1e3")
+BIG_RANK = str(10**40)  # past the words of MAX_LENGTH letters over a*b* and the squares: rep and enum refuse it
 
 # exit status 1 prints "internal error: <class>"; a leaked traceback or class name is a failure
 LEAKS = re.compile(
@@ -185,15 +187,21 @@ def test_bad_input_exits_2_with_a_message(inputs):
                     want, got = rebuilt_from_fibers(inputs, call, name)
                     assert want[0] == 0 and got == want, (want, got)
                     rebuilds += 1
-        numbers = [i for i, a in enumerate(shlex.split(call)) if a.isdigit()]
+        words = shlex.split(call)
+        numbers = [i for i, a in enumerate(words) if a.isdigit()]
+        ranks = [i for i in numbers if words[0] == "rep" or words[i - 1] == "--start"]
         for _ in range(TRIALS if numbers else 0):
             argv = argv_of(call, inputs)
             argv[rng.choice(numbers)] = rng.choice(BAD_NUMBERS)
             check("bad_number", argv)
+        for _ in range(2 if ranks else 0):
+            argv = argv_of(call, inputs)
+            argv[rng.choice(ranks)] = BIG_RANK
+            check("big_rank", argv)
     assert not bad, bad[:3]
     # the fuzz stays live: every operator is refused somewhere, and the unmutated calls succeed
     assert exits.pop("unmutated") == {0}
     assert {label: 2 in codes for label, codes in exits.items()} == dict.fromkeys(
-        [op.__name__ for op in FILE_OPERATORS] + ["bad_number"], True
+        [op.__name__ for op in FILE_OPERATORS] + ["bad_number", "big_rank"], True
     )
     assert rebuilds

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ans import (
+    AnsError,
     AutomaticSequence,
     Dfa,
     Dfao,
@@ -272,12 +273,35 @@ def test_tables_do_not_depend_on_the_order_they_are_filled_in(name):
 
 @pytest.mark.parametrize("name", FILLED)
 def test_rep_fills_no_length_past_its_word(name):
-    # the first length whose cumulative count exceeds n is rep(n)'s; filling on would overshoot
-    rng = random.Random(name)
-    for n in [0, 1, 2, 10**7, *(rng.randrange(10 ** rng.randrange(1, 12)) for _ in range(20))]:
+    # the first length whose cumulative count exceeds n is rep(n)'s; filling on would overshoot.
+    # The ranks stay below `top`, short of the words past MAX_LENGTH letters, which rep refuses
+    rng, probe = random.Random(name), NumerationSystem(FILLED[name][0]())
+    probe._ensure(0, 10**11)  # on to the first length that covers 10^11, or to MAX_LENGTH
+    top = probe._cum[-1]
+    for n in [0, 1, 2, 10**7, *(rng.randrange(min(10 ** rng.randrange(1, 12), top)) for _ in range(20))]:
         system = NumerationSystem(FILLED[name][0]())
         word = system.rep(n)
         assert len(system._cum) - 2 == len(word)
+
+
+@pytest.mark.parametrize("call", ["rep", "val", "enumerate", "term"])
+def test_words_past_max_length_are_refused_naming_the_limit_and_the_growth(call):
+    # over a*b* the words of MAX_LENGTH letters end at b^MAX_LENGTH; rank 10^14 is a word of about
+    # 1.4·10^7 letters, whose fill rep, enumerate and term stop at MAX_LENGTH, and val refuses a^(MAX_LENGTH + 1)
+    system, most = NumerationSystem(ab_star_dfa()), numeration.MAX_LENGTH
+    refused = {
+        "rep": lambda: system.rep(10**14),
+        "val": lambda: system.val(("a",) * (most + 1)),
+        "enumerate": lambda: next(system.enumerate(10**14)),
+        "term": lambda: AutomaticSequence(system, teaching_dfao()).term(10**14),
+    }[call]
+    with pytest.raises(AnsError, match=rf"exceeds the {most}-letter limit \(the language has O\(m\^1\) words"):
+        refused()
+    assert len(system._cum) <= most + 2  # no fill past MAX_LENGTH
+    last = system.val(("b",) * most)  # the last word of MAX_LENGTH letters
+    assert last == system._cum[-1] - 1 and system.rep(last) == ("b",) * most
+    with pytest.raises(AnsError, match="the word of rank"):
+        system.rep(last + 1)
 
 
 def test_words_from_handles_finite_continuations():
