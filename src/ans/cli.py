@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring
 
 from . import fileformat as ff
 from .automata import Dfa, Dfao, OrderedAlphabet, distinguishing_word, minimize, reduce_dfao
@@ -36,7 +36,7 @@ from .sequences import (
     fiber,
     kernel,
     occurrence_gaps,
-    subsequence,
+    subsequences,
     take,
 )
 from .substitutions import canonical_substitution, fixed_point, system_from_morphism
@@ -97,8 +97,24 @@ def _check_writable(*paths: str | None):
             os.remove(path)
 
 
-def _emit_json(obj):
-    print(json.dumps(obj, indent=2, ensure_ascii=False))
+def _json(x, pad: str = "\n") -> str:
+    """``json.dumps(x, indent=2, ensure_ascii=False)``, byte for byte.  An indented dump runs json's
+    pure-Python encoder, so the layout is written here and each leaf at C speed.  `pad` is the
+    newline and indent of x's line; a key that is not a str raises TypeError."""
+    if isinstance(x, str):
+        return encode_basestring(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, (int, float)):  # json writes a float that is not finite as NaN, Infinity or -Infinity
+        r = int.__repr__(x) if isinstance(x, int) else float.__repr__(x)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(r, r)
+    inner = pad + "  "
+    if isinstance(x, (list, tuple)):
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + pad + "]" if x else "[]"
+    if isinstance(x, dict):  # encode_basestring raises the TypeError
+        items = [encode_basestring(k) + ": " + _json(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if x else "{}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _render_terms(terms) -> str:
@@ -153,7 +169,7 @@ def cmd_enum(args):
     system = _load_system(args.system)
     words = take(system.enumerate(args.start), args.count)
     if args.json:
-        _emit_json({"start": args.start, "words": [ff.render_word(w) for w in words]})
+        print(_json({"start": args.start, "words": [ff.render_word(w) for w in words]}))
     else:
         for w in words:
             print(ff.render_word(w))
@@ -163,7 +179,7 @@ def cmd_seq(args):
     u = _load_sequence(args)
     terms = u.prefix(args.count)
     if args.json:
-        _emit_json({"count": args.count, "terms": [str(t) for t in terms]})
+        print(_json({"count": args.count, "terms": [str(t) for t in terms]}))
     else:
         print(_render_terms(terms))
 
@@ -189,25 +205,15 @@ def cmd_fibers_to_dfao(args):
 def cmd_kernel(args):
     u = _load_sequence(args)
     classes = kernel(u)
+    terms = subsequences(u, classes, args.terms)
     if args.json:
-        _emit_json(
-            {
-                "classes": [
-                    {
-                        "id": k.class_id,
-                        "representative": ff.render_word(k.representative_prefix),
-                        "empty": k.empty,
-                        "terms": [str(t) for t in take(subsequence(u, k), args.terms)],
-                    }
-                    for k in classes
-                ]
-            }
-        )
+        print(_json({"classes": [{"id": k.class_id, "representative": ff.render_word(k.representative_prefix),
+                                  "empty": k.empty, "terms": [str(t) for t in ts]} for k, ts in zip(classes, terms)]}))
         return
     print(f"classes: {len(classes)}")
-    for k in classes:
+    for k, ts in zip(classes, terms):
         rep = ff.render_word(k.representative_prefix)
-        body = "(empty)" if k.empty else _render_terms(take(subsequence(u, k), args.terms))
+        body = "(empty)" if k.empty else _render_terms(ts)
         print(f"{k.class_id} {rep} {body}".rstrip())
 
 
@@ -223,14 +229,14 @@ def cmd_gaps(args):
         raise AnsError(f"--factor needs 1 to --count {args.count} symbols, got {len(factor)}")
     report = occurrence_gaps(u.stream(), factor, args.count)
     if args.json:
-        _emit_json(
+        print(_json(
             {
                 "factor": ff.render_word(factor),
                 "horizon": args.count,
                 "positions": list(report.positions),
                 "gaps": list(report.gaps),
             }
-        )
+        ))
         return
     print(f"occurrences: {len(report.positions)}")
     print("positions: " + " ".join(map(str, report.positions)))
@@ -273,7 +279,7 @@ def cmd_complexity(args):
     u = _load_sequence(args)
     profile = factor_count(u.stream(), args.prefix, args.nmax)
     if args.json:
-        _emit_json(profile.to_dict())
+        print(_json(profile.to_dict()))
         return
     print(f"prefix: {profile.prefix_length}")
     print(f"exactness horizon: {profile.exactness_horizon}")
@@ -286,7 +292,7 @@ def cmd_witness_quadratic(args):
         raise AnsError(f"--prefix {args.prefix} is below {WITNESS_N_MAX}, the longest block length profiled")
     report = quadratic_witness_check(args.prefix)
     if args.json:
-        _emit_json(report.to_dict())
+        print(_json(report.to_dict()))
         return
     print(f"prefix: {report.prefix_length}")
     print(f"embedding: {_verdict(report.embedding_ok)}")
@@ -310,7 +316,7 @@ def cmd_binomial_word(args):
         obj = bw.to_dict()
         if check is not None:
             obj["check"] = check.to_dict()
-        _emit_json(obj)
+        print(_json(obj))
         return
     print("".join(map(str, bw.bits)))
     print("elements: " + " ".join(map(str, bw.elements)))

@@ -23,10 +23,11 @@ pair's row is built.  Every shortlex listing of words (``enumerate``,
 ``words_from``) is one depth-first walk, ``_walk``, with one row memo: it
 crosses each run of one-child nodes in one step, writes the words into one
 buffer, and from a nonzero rank stacks the nodes on rep's path, building their
-rows on the way back.  Every listing of outputs (machine sequences, kernel
-subsequences, ``Substitution.generate``) is one ``_blocks`` stream, whose path
-depends on how the words read from its root grow, which one pass over the
-language's components gives every state when the system is built.  From a root
+rows on the way back.  Every stream of outputs (machine sequences, a kernel
+class's ``subsequence``, ``Substitution.generate``) is one ``_blocks`` stream,
+whose path depends on how the words read from its root grow, which one pass
+over the language's components gives every state when the system is built;
+``ans kernel`` reads its terms from ``sequences.subsequences``.  From a root
 with polynomially many words per length, ``_levels`` builds each length's
 outputs from the last length's with the pair morphism of the paper's main
 theorem.  From any other root a node with at most ``BLOCK`` words yields their

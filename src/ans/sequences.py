@@ -7,8 +7,9 @@ ways between three presentations of such a sequence:
 * per-symbol fibers — the regular languages of representations sharing one
   output value (``fiber`` / ``dfao_from_fibers``);
 * the kernel — the finitely many "suffix subsequences" obtained by fixing a
-  prefix of the representation (``kernel`` / ``subsequence``), together with
-  a learner that rebuilds a machine from any black-box term function whose
+  prefix of the representation (``kernel``; ``subsequence`` streams one, and
+  ``subsequences`` reads the first terms of them all in one pass), with a
+  learner that rebuilds a machine from any black-box term function whose
   kernel is finite (``dfao_from_kernel``);
 * occurrence statistics of output factors (``occurrence_gaps``).
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, groupby, islice
+from itertools import chain, count, groupby, islice
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .automata import (
@@ -284,6 +285,40 @@ def subsequence(u: AutomaticSequence, k: KernelClass) -> SequenceStream:
     when the prefix admits few or no accepted extensions.
     """
     return _outputs(u.system, u._complete, k.representative_prefix)
+
+
+def subsequences(u: AutomaticSequence, classes: Iterable[KernelClass], n: int) -> list[list]:
+    """The first `n` terms of ``subsequence(u, k)`` for each class k, in order; fewer where it ends.
+
+    One pass of the pair morphism serves every class: the (language state, completed-machine
+    state) pairs reachable from the classes' prefixes are numbered, each with its successors'
+    numbers in letter order, and a pair's level at length m, its first `n` outputs there, is its
+    successors' levels at m - 1 joined and cut to `n`.  Each class reads its root's level until it
+    has `n` terms, or up to #states - 1 letters from a state with finitely many words.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    system, mach, lang, number, pairs, rows = u.system, u._complete, u.system.language, {}, [], []
+
+    def numbered(x) -> int:
+        if (i := number.setdefault(x, len(pairs))) == len(pairs):
+            pairs.append(x)
+        return i
+
+    roots = [None if (q := lang.run(w := k.representative_prefix)) is None else numbered((q, mach.run(w)))
+             for k in classes]
+    for q, c in pairs:  # pairs grows while it is read
+        rows.append([numbered((q2, mach.trans[c, a])) for a, q2, _row in system._succ[q]])
+    terms, last = [[] for _ in roots], len(lang.states) - 1
+    short = [(t, r, system._growth[pairs[r][0]] < 0) for t, r in zip(terms, roots) if r is not None and n]
+    level = [(mach.output[c],) if q in lang.finals else () for q, c in pairs]
+    for m in count():
+        for t, r, finite in short:
+            t += level[r][: n - len(t)]
+        short = [(t, r, finite) for t, r, finite in short if len(t) < n and not (finite and m >= last)]
+        if not short:
+            return terms
+        level = [sum(map(level.__getitem__, row), ())[:n] for row in rows]
 
 
 def dfao_from_kernel(term: Callable[[int], Hashable], system: NumerationSystem, bound: int) -> Dfao:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 import ans
 import ans.cli as cli
@@ -405,6 +406,28 @@ def test_kernel_zero_terms_marks_only_empty_classes(files, capsys):
     assert lines[1] == "0 @eps"
 
 
+def test_kernel_reads_the_kernel_once_and_starts_no_stream(files, capsys, monkeypatch):
+    # every class's terms come from one level pass over the pairs: neither output stream runs
+    u = ans.AutomaticSequence(ans.NumerationSystem(ab_star_dfa()), teaching_dfao())
+    want = [(k, ans.take(ans.subsequence(u, k), 6)) for k in ans.kernel(u)]
+    calls, kernel = [], cli.kernel
+
+    def refused(*args):
+        raise AssertionError("ans kernel started an output stream")
+
+    monkeypatch.setattr(cli, "kernel", lambda u: calls.append(u) or kernel(u))
+    monkeypatch.setattr(ans.NumerationSystem, "_blocks", refused)
+    monkeypatch.setattr(ans.NumerationSystem, "_levels", refused)
+    argv = ["kernel", "-s", files["lang"], "-m", files["machine"], "--terms", "6"]
+    lines = run_ok(capsys, argv).splitlines()
+    assert lines[0] == f"classes: {len(want)}"
+    for line, (k, terms) in zip(lines[1:], want, strict=True):
+        assert line == f"{k.class_id} {ff.render_word(k.representative_prefix)} {'(empty)' if k.empty else ''.join(terms)}"
+    obj = json.loads(run_ok(capsys, [*argv, "--json"]))
+    assert [c["terms"] for c in obj["classes"]] == [list(terms) for _, terms in want]
+    assert len(calls) == 2
+
+
 def test_fixpoint(files, capsys):
     # integer letters were renamed s0 s1 s2 when the morphism was written out
     out = run_ok(capsys, ["fixpoint", files["morphism"], "--count", "16"])
@@ -585,6 +608,31 @@ def test_json_reemission_identity(files):
     argv = ["complexity", "-s", files["lang"], "-m", files["machine"], "--prefix", "200", "--nmax", "8", "--json"]
     out = runner(argv).stdout
     assert json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n" == out
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(10**60), 10**60), st.floats(), st.text())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+@seed(60)
+@settings(max_examples=400, deadline=None, database=None)
+@given(JSON_VALUES)
+@example({"": [], "a": {}, "b": (), "é \"\\ \n\t\x00\x1f\x7f \u2028 ⊥ 😀": [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 1e300, 10**100, -(10**100), True, False, None, [[]], [{}],
+]})
+def test_json_writer_writes_what_json_dumps_writes(x):
+    assert cli._json(x) == json.dumps(x, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, (1, 2)])
+def test_json_writer_refuses_keys_that_are_not_str(key):
+    with pytest.raises(TypeError):
+        cli._json({"a": [{key: 0}]})
 
 
 def test_color_env_disables_styling():

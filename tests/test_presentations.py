@@ -37,6 +37,7 @@ from ans import (
     numeration,
     sequence,
     subsequence,
+    subsequences,
     take,
 )
 from ans.automata import _reachable_product
@@ -174,12 +175,16 @@ def test_every_kernel_subsequence_agrees_with_brute_force(u):
 
 
 def check_kernel_subsequences(u):
-    lang, mach = u.system.language, u.machine
-    for k in kernel(u):
+    """Each class's stream, and every class's first 0, 1 and N terms from ``subsequences``, agree with brute force."""
+    lang, mach, classes, want = u.system.language, u.machine, kernel(u), []
+    for k in classes:
         w = k.representative_prefix
         root = lang.run(w)
         words = [] if root is None else brute_words(lang, root, N)
-        at_block_sizes(lambda: subsequence(u, k), N, tuple(out(mach, mach.run(w + z)) for z in words))
+        want.append([out(mach, mach.run(w + z)) for z in words])
+        at_block_sizes(lambda: subsequence(u, k), N, tuple(want[-1]))
+    for n in (0, 1, N):
+        assert subsequences(u, classes, n) == [terms[:n] for terms in want]
 
 
 @st.composite
@@ -534,6 +539,36 @@ def test_deep_enumerate_and_words_from_agree_with_brute_force(make):
     assert take(system.enumerate(1_000), 1_000) == tuple(brute_words(lang, lang.start, 2_000)[1_000:])
     for q in lang.states:
         assert take(system.words_from(q), 1_000) == tuple(brute_words(lang, q, 1_000))
+
+
+def test_subsequences_reach_sparse_lengths():
+    # (a^30)* under a counter mod 3: 30 classes whose words are 30 letters apart, so
+    # 20 terms each take the level pass to 600 letters
+    lang = Dfa(UNARY, tuple(f"s{i}" for i in range(30)), "s0", frozenset({"s0"}),
+               {(f"s{i}", "a"): f"s{(i + 1) % 30}" for i in range(30)})
+    mod3 = Dfao(UNARY, ("x", "y", "z"), "x", {("x", "a"): "y", ("y", "a"): "z", ("z", "a"): "x"},
+                {"x": "0", "y": "1", "z": "2"}, ("0", "1", "2"))
+    u = AutomaticSequence(NumerationSystem(lang), mod3)
+    classes = kernel(u)
+    assert len(classes) == 30
+    assert [tuple(terms) for terms in subsequences(u, classes, 20)] == [take(subsequence(u, k), 20) for k in classes]
+
+
+def test_subsequences_read_finite_continuations_to_their_end():
+    # a*b, then aa or bbb: after the b the words are 2 and 3 letters long, and none is shorter
+    lang = Dfa(AB, ("p", "r", "s", "t", "v", "f"), "p", frozenset({"f"}), {
+        ("p", "a"): "p", ("p", "b"): "r", ("r", "a"): "s", ("s", "a"): "f",
+        ("r", "b"): "t", ("t", "b"): "v", ("v", "b"): "f",
+    })
+    u = AutomaticSequence(NumerationSystem(lang), NO_B_AFTER_ODD_A)
+    classes = kernel(u)
+    got = [tuple(terms) for terms in subsequences(u, classes, N)]
+    assert got == [take(subsequence(u, k), N) for k in classes]
+    # after b and after ab: aa and bbb, where the run has died after ab
+    assert [k.representative_prefix for k in classes[2:4]] == [("b",), ("a", "b")]
+    assert got[2:4] == [("0", "0"), ("⊥", "⊥")]
+    with pytest.raises(ValueError):
+        subsequences(u, classes, -1)
 
 
 def test_kernel_and_its_subsequences_complete_the_machine_once(monkeypatch):

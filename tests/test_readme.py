@@ -28,6 +28,8 @@ def test_readme_python_blocks():
     assert minimize(zero) == zero
     assert [zero.accepts(w) for w in islice(system.enumerate(), 500)] == [x == "0" for x in u.prefix(500)]
     assert len(ns["kernel"](u)) == 9
+    assert ns["subsequences"](u, ns["kernel"](u), 4)[1] == list("1233")
+    assert "# ['1', '2', '3', '3']" in blocks[0]
 
     assert take(ns["t"].generate(), 50) == u.prefix(50)
     phi, system2, machine2 = ns["phi"], ns["system2"], ns["machine2"]
